@@ -136,45 +136,56 @@ def test_kernel_zipf_sampling(benchmark):
     benchmark(lambda: int(sampler.sample_many(100_000).sum()))
 
 
-def _model_factory(name: str, compact: bool, popularity):
+def _model_factory(name: str, popularity):
     if name == "standard":
         from repro.core.standard import StandardPPM
 
-        return lambda: StandardPPM(compact=compact)
+        return StandardPPM
     if name == "lrs":
         from repro.core.lrs import LRSPPM
 
-        return lambda: LRSPPM(compact=compact)
+        return LRSPPM
     if name == "pb":
         from repro.core.pb import PopularityBasedPPM
 
-        return lambda: PopularityBasedPPM(popularity, compact=compact)
+        return lambda: PopularityBasedPPM(popularity)
     from repro.core.extras import FirstOrderMarkov
 
-    return lambda: FirstOrderMarkov(compact=compact)
+    return FirstOrderMarkov
 
 
 def test_kernel_compact_build_speedup():
     """Compact-kernel model builds vs the TrieNode builds, per model.
+
+    The node arm is the literal Fig. 1 builder of ``tests/oracle.py``,
+    configured like the model it is timed against.
 
     The acceptance bar for the kernel is >= 2x aggregate build throughput
     at NASA scale; reduced scales (REPRO_BENCH_SCALE < 1) shrink the
     corpus until fixed per-build overhead dominates, so CI smoke runs
     only assert a looser floor.
     """
+    from repro.core.stats import node_count
+
+    from tests.oracle import forest_for
+
     lab = get_lab("nasa-like", 6)
     sessions = lab.split(5).train_sessions
     popularity = lab.popularity(5)
     payload = {}
     node_total = compact_total = 0.0
     for name in ("standard", "lrs", "pb", "markov1"):
+        factory = _model_factory(name, popularity)
+        builds = {
+            "node": lambda: node_count(forest_for(factory(), sessions)),
+            "compact": lambda: factory().fit(sessions).node_count,
+        }
         times = {}
         for mode in ("node", "compact"):
-            factory = _model_factory(name, mode == "compact", popularity)
-            times[mode], model = _best_of(lambda: factory().fit(sessions))
+            times[mode], nodes = _best_of(builds[mode])
             entry = payload.setdefault(name, {})
             entry[f"{mode}_seconds"] = round(times[mode], 4)
-            entry[f"{mode}_nodes"] = model.node_count
+            entry[f"{mode}_nodes"] = nodes
         node_total += times["node"]
         compact_total += times["compact"]
         payload[name]["speedup"] = round(times["node"] / times["compact"], 2)
@@ -257,7 +268,10 @@ def test_kernel_memory_footprint():
     design, so the kernel's fixed overheads (symbol table, child map)
     weigh proportionally more — it gets a looser floor.
     """
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT)]),
+    )
     payload = {}
     floors = {"standard": 0.40, "pb": 0.20}
     for name in ("standard", "pb"):

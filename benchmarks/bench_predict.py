@@ -1,46 +1,36 @@
 """Compiled prediction-table speedups: the prediction plane A/B bench.
 
-Times the same work twice — ``params.COMPILED_PREDICT`` off (the
-per-request compact-trie walk) versus on (the precompiled CSR row
-slices) — and records the ratios in
-``benchmarks/results/BENCH_predict.json``:
+Times the same work twice — the uncompiled store walk (PB-PPM's
+``_predict_compact``, called directly) versus the compiled table's row
+slices (``predict_cursor`` at the default threshold) — and records the
+ratios in ``benchmarks/results/BENCH_predict.json``:
 
 * ``batch_predict`` — the prediction step in isolation: repeated
-  ``predict_cursor`` calls over a fleet of cursors parked at the end of
-  every test session, so nothing but "matched states -> prediction list"
-  is on the clock.  This is the operation the table turns into a row
-  slice and the headline ratio.
+  predictions over a fleet of cursors parked at the end of every test
+  session, so nothing but "matched states -> prediction list" is on the
+  clock.  This is the operation the table turns into a row slice and the
+  headline ratio.
 * ``cursor_replay`` — the full incremental loop (advance + predict per
-  click) over the same sessions; advances become ``searchsorted`` probes
-  so the ratio stays large even with the bookkeeping included.
-* ``loadgen`` — end-to-end single-worker serving throughput under the
-  HTTP load generator, with the serving fast lane
-  (``params.SERVE_FAST_DISPATCH``) flipped together with the table: both
-  off reproduces the pre-table server byte for byte, both on is the
-  shipped configuration.  Best-of-N per state, alternated so host noise
-  hits both sides alike.
+  click) over the same sessions.
 
-Totals are asserted identical between the two states before any ratio is
+Totals are asserted identical between the two arms before any ratio is
 trusted.  In-test floors are CI-safe; the committed artifact records the
 real numbers and ``check_predict_regression.py`` gates the ratios
-against ``benchmarks/baselines/BENCH_predict.json``.
+against ``benchmarks/baselines/BENCH_predict.json``.  Serving speed is
+measured end to end by ``perfbench``'s ``serve-wal`` workload.
 """
 
 import json
-import os
 import pathlib
 import time
 
 from repro import params
 from repro.experiments import get_lab
 from repro.experiments.lab import bench_scale
-from repro.serve.loadgen import run_loadgen
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_JSON = REPO_ROOT / "benchmarks" / "results" / "BENCH_predict.json"
-
-#: Loadgen rounds per flag state (override: REPRO_PREDICT_BENCH_ROUNDS).
-LOADGEN_ROUNDS = int(os.environ.get("REPRO_PREDICT_BENCH_ROUNDS", "3"))
+THRESHOLD = params.PREDICTION_PROBABILITY_THRESHOLD
 
 
 def _update_bench_json(section: str, payload: dict) -> None:
@@ -66,28 +56,36 @@ def _best_of(fn, rounds: int = 7):
     return best, result
 
 
-def _ab(fn):
-    """Run ``fn`` with the table off then on; returns both timings.
+def _ab(walk, table):
+    """Time the uncompiled walk, then the compiled table; returns both.
 
-    Each state gets one untimed warmup pass first, so the compiled
-    side's one-off table compilation (a build-time cost in production:
-    the supervisor compiles once per publish) never pollutes the
+    Each arm gets one untimed warmup pass first, so the compiled side's
+    one-off table compilation (a build-time cost in production: the
+    supervisor compiles once per publish) never pollutes the
     steady-state timing.
     """
-    previous = params.COMPILED_PREDICT
-    try:
-        params.COMPILED_PREDICT = False
-        fn()
-        off_seconds, off_total = _best_of(fn)
-        params.COMPILED_PREDICT = True
-        fn()
-        on_seconds, on_total = _best_of(fn)
-    finally:
-        params.COMPILED_PREDICT = previous
+    walk()
+    off_seconds, off_total = _best_of(walk)
+    table()
+    on_seconds, on_total = _best_of(table)
     assert on_total == off_total, (
         f"compiled path diverged: {on_total} != {off_total}"
     )
     return off_seconds, on_seconds, on_total
+
+
+def _steps(model):
+    """(walk, table): one cursor's prediction through each path."""
+
+    def walk(cursor):
+        return model._predict_compact(
+            cursor.matches(), cursor.last_url, THRESHOLD, False
+        )
+
+    def table(cursor):
+        return model.predict_cursor(cursor, threshold=THRESHOLD, mark_used=False)
+
+    return walk, table
 
 
 def test_batch_predict_speedup():
@@ -101,13 +99,11 @@ def test_batch_predict_speedup():
             cursor.advance(url)
         cursors.append(cursor)
 
-    def sweep():
-        return sum(
-            len(model.predict_cursor(cursor, mark_used=False))
-            for cursor in cursors
-        )
+    def sweep(step):
+        return lambda: sum(len(step(cursor)) for cursor in cursors)
 
-    off_seconds, on_seconds, total = _ab(sweep)
+    walk, table = _steps(model)
+    off_seconds, on_seconds, total = _ab(sweep(walk), sweep(table))
     speedup = off_seconds / on_seconds
     _update_bench_json(
         "batch_predict",
@@ -135,17 +131,21 @@ def test_cursor_replay_speedup():
     model = lab.model("pb", 5)
     streams = [s.urls for s in lab.split(5).test_sessions]
 
-    def replay():
-        total = 0
-        cursor = model.prediction_cursor(5)
-        for urls in streams:
-            cursor.reset()
-            for url in urls:
-                cursor.advance(url)
-                total += len(model.predict_cursor(cursor, mark_used=False))
-        return total
+    def replay(step):
+        def run():
+            total = 0
+            cursor = model.prediction_cursor(5)
+            for urls in streams:
+                cursor.reset()
+                for url in urls:
+                    cursor.advance(url)
+                    total += len(step(cursor))
+            return total
 
-    off_seconds, on_seconds, total = _ab(replay)
+        return run
+
+    walk, table = _steps(model)
+    off_seconds, on_seconds, total = _ab(replay(walk), replay(table))
     speedup = off_seconds / on_seconds
     _update_bench_json(
         "cursor_replay",
@@ -162,63 +162,3 @@ def test_cursor_replay_speedup():
         f"compiled {on_seconds:.4f}s speedup {speedup:.2f}x"
     )
     assert speedup >= (1.8 if bench_scale() >= 1.0 else 1.2)
-
-
-def _loadgen_once() -> dict:
-    return run_loadgen(
-        spawn=True,
-        profile="nasa-like",
-        days=2,
-        train_days=1,
-        seed=13,
-        scale=0.4,
-        connections=8,
-        mode="combined",
-    )
-
-
-def test_loadgen_predictions_speedup():
-    """End-to-end serving throughput, pre-table server vs shipped config.
-
-    The loadgen config is intentionally independent of
-    ``REPRO_BENCH_SCALE`` so the committed baseline is comparable across
-    jobs.  Alternating rounds, best-of-N per state: host noise on a
-    shared runner hits both sides alike and the best observation is the
-    least-perturbed one.
-    """
-    previous = (params.COMPILED_PREDICT, params.SERVE_FAST_DISPATCH)
-    off_runs: list[float] = []
-    on_runs: list[float] = []
-    try:
-        for _ in range(LOADGEN_ROUNDS):
-            params.COMPILED_PREDICT = False
-            params.SERVE_FAST_DISPATCH = False
-            report = _loadgen_once()
-            assert report["failed_requests"] == 0
-            off_runs.append(report["predictions_per_s"])
-
-            params.COMPILED_PREDICT = True
-            params.SERVE_FAST_DISPATCH = True
-            report = _loadgen_once()
-            assert report["failed_requests"] == 0
-            on_runs.append(report["predictions_per_s"])
-    finally:
-        params.COMPILED_PREDICT, params.SERVE_FAST_DISPATCH = previous
-
-    speedup = max(on_runs) / max(off_runs)
-    _update_bench_json(
-        "loadgen",
-        {
-            "rounds": LOADGEN_ROUNDS,
-            "uncompiled_predictions_per_s": [round(v, 1) for v in off_runs],
-            "compiled_predictions_per_s": [round(v, 1) for v in on_runs],
-            "speedup": round(speedup, 2),
-        },
-    )
-    print(
-        f"loadgen: uncompiled best {max(off_runs):.0f}/s "
-        f"compiled best {max(on_runs):.0f}/s speedup {speedup:.2f}x"
-    )
-    # CI-safe floor — the committed baseline carries the real ratio and
-    # the regression gate compares against that.
-    assert speedup >= 1.05

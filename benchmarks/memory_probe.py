@@ -1,8 +1,10 @@
 """Child-process memory probe for the compact-kernel benchmarks.
 
-Run as ``python benchmarks/memory_probe.py <model> <node|compact>``; the
-process builds the requested model representation on the lab's training
-sessions and prints one JSON line of memory readings:
+Run as ``python benchmarks/memory_probe.py <model> <node|compact>`` with
+``src`` and the repository root on ``PYTHONPATH``; the process builds the
+requested representation on the lab's training sessions — the fitted
+model's compact store, or the literal Fig. 1 node forest of
+``tests/oracle.py`` — and prints one JSON line of memory readings:
 
 * ``retained_kb`` — VmRSS growth across the build (model storage as the
   OS bills it), measured without tracemalloc so the tracer's own
@@ -45,15 +47,30 @@ def rss_kb(field: str = "VmRSS") -> int:
 
 
 def build(model_name: str, compact: bool, sessions, popularity):
+    """The fitted model, or (``compact`` False) its oracle node forest."""
     if model_name == "standard":
         from repro.core.standard import StandardPPM
 
-        return StandardPPM(compact=compact).fit(sessions)
-    if model_name == "pb":
+        model = StandardPPM()
+    elif model_name == "pb":
         from repro.core.pb import PopularityBasedPPM
 
-        return PopularityBasedPPM(popularity, compact=compact).fit(sessions)
-    raise SystemExit(f"unknown model: {model_name}")
+        model = PopularityBasedPPM(popularity)
+    else:
+        raise SystemExit(f"unknown model: {model_name}")
+    if compact:
+        return model.fit(sessions)
+    from tests.oracle import forest_for
+
+    return forest_for(model, sessions)
+
+
+def count_nodes(built) -> int:
+    if isinstance(built, dict):
+        from repro.core.stats import node_count
+
+        return node_count(built)
+    return built.node_count
 
 
 def main(model_name: str, mode: str) -> None:
@@ -65,6 +82,8 @@ def main(model_name: str, mode: str) -> None:
     for session in sessions:  # warm the url cache outside the measurement
         _ = session.urls
     popularity = lab.popularity(5) if model_name == "pb" else None
+    if not compact:
+        import tests.oracle  # noqa: F401 - imported outside the measurement
 
     trim_heap()
     before = rss_kb()
@@ -73,7 +92,7 @@ def main(model_name: str, mode: str) -> None:
     trim_heap()
     retained = rss_kb() - before
     hwm_delta = rss_kb("VmHWM") - hwm_before
-    node_count = model.node_count
+    node_count = count_nodes(model)
     del model
     trim_heap()
 

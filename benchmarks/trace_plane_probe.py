@@ -36,26 +36,47 @@ def rss_kb(field: str = "VmHWM") -> int:
 
 
 def probe_object(path: str) -> dict:
-    """The parser-fed reference pipeline over LogRecord/Request objects."""
+    """The parser-fed reference pipeline over LogRecord/Request objects.
+
+    Runs the paper-literal reference functions the columnar plane is
+    pinned against, one record at a time.
+    """
     from repro import params
     from repro.sim.engine import request_sort_key
-    from repro.trace.dataset import Trace
+    from repro.trace.clf_parser import iter_clf_file
+    from repro.trace.embedding import fold_embedded_objects
+    from repro.trace.record import sort_records
+    from repro.trace.sessions import sessionize
 
-    params.COLUMNAR_TRACE = False
-    trace = Trace.from_clf_file(path)
-    sessions = trace.sessions
-    popularity = trace.url_access_counts()
-    sizes = trace.url_size_table()
-    split = trace.split(trace.num_days - 1)
-    test = sorted(split.test_requests, key=request_sort_key)
+    records = [r for r in sort_records(iter_clf_file(path)) if r.is_successful_get]
+    requests = fold_embedded_objects(
+        records, window_seconds=params.EMBEDDED_OBJECT_WINDOW_S
+    )
+    sessions = sessionize(
+        requests, idle_timeout_seconds=params.SESSION_IDLE_TIMEOUT_S
+    )
+    popularity: dict[str, int] = {}
+    sizes: dict[str, int] = {}
+    for request in requests:
+        popularity[request.url] = popularity.get(request.url, 0) + 1
+        sizes[request.url] = max(sizes.get(request.url, -1), request.total_bytes)
+    epoch = math.floor(records[0].timestamp / 86_400.0) * 86_400.0
+
+    def day(timestamp: float) -> int:
+        return int((timestamp - epoch) // 86_400.0)
+
+    last_day = day(records[-1].timestamp)
+    test = sorted(
+        (r for r in requests if day(r.timestamp) == last_day), key=request_sort_key
+    )
     return {
-        "records": len(trace),
-        "requests": len(trace.requests),
+        "records": len(records),
+        "requests": len(requests),
         "sessions": len(sessions),
         "session_l2": sum(len(s.requests) ** 2 for s in sessions),
         "popularity": sum(c * len(u) for u, c in popularity.items()),
         "size_total": sum(sizes.values()),
-        "train_sessions": len(split.train_sessions),
+        "train_sessions": sum(1 for s in sessions if day(s.start_time) < last_day),
         "test_requests": len(test),
         "test_ts_floor": sum(int(math.floor(r.timestamp)) for r in test),
     }

@@ -2,15 +2,17 @@
 
 * :mod:`repro.core.popularity` — relative popularity and the log10 grade
   ladder of Section 3.1;
-* :mod:`repro.core.node` — the Markov-prediction-tree node;
-* :mod:`repro.core.base` — the shared model interface and trie machinery;
+* :mod:`repro.core.node` — the node type a model's tree is exported as
+  (JSON document, rendering, statistics);
+* :mod:`repro.core.base` — the shared model interface over the compact
+  store of :mod:`repro.kernel`;
 * :mod:`repro.core.standard` — the standard PPM baseline (Fig. 1 left);
 * :mod:`repro.core.lrs` — the LRS-PPM baseline after Pitkow & Pirolli;
 * :mod:`repro.core.pb` — popularity-based PPM, the paper's contribution
   (Fig. 1 right);
-* :mod:`repro.core.pruning` — the two post-build space optimisations;
 * :mod:`repro.core.prediction` — longest-match prediction, batch and
-  incremental (:class:`PredictionCursor`), over both representations;
+  incremental (:class:`PredictionCursor`), through the compiled table or
+  the uncompiled store walk;
 * :mod:`repro.core.stats` — node counts, path enumeration, utilisation;
 * :mod:`repro.core.extras` — related-work predictors used in ablations.
 """
@@ -25,11 +27,6 @@ from repro.core.prediction import (
     Prediction,
     PredictionCursor,
     clears_threshold,
-    predict_from_context,
-)
-from repro.core.pruning import (
-    prune_by_absolute_count,
-    prune_by_relative_probability,
 )
 from repro.core.serialize import (
     dump_model,
@@ -66,9 +63,6 @@ __all__ = [
     "Prediction",
     "PredictionCursor",
     "clears_threshold",
-    "predict_from_context",
-    "prune_by_absolute_count",
-    "prune_by_relative_probability",
     "dump_model",
     "dumps_model",
     "load_model",

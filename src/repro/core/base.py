@@ -6,22 +6,14 @@ exposes the bookkeeping the evaluation needs: node counts (the paper's
 "space" metric), root-to-leaf paths, and usage marking for the
 path-utilisation study of Figure 2.
 
-Two storage representations back the forest:
-
-* the classic one-:class:`~repro.core.node.TrieNode`-object-per-URL
-  forest in ``self._roots``, and
-* the compact kernel (:mod:`repro.kernel`): URLs interned to dense ids in
-  a :class:`~repro.kernel.symbols.SymbolTable` and the whole forest held
-  in one array-backed :class:`~repro.kernel.compact.CompactTrie`.
-
-Which one a ``fit`` produces is controlled by the ``compact`` constructor
-argument (default: :data:`repro.params.COMPACT_MODEL_KERNEL`).  The model
-holds exactly one representation at a time.  Reading :attr:`roots` on a
-compact model *materialises* the equivalent node forest and permanently
-adopts it, so code that walks or mutates trees directly — tests, pruning
-ablations, notebooks — keeps working unchanged on the canonical
-representation; the conversion is lossless both ways and predictions are
-identical on either side (``tests/kernel/`` pins this).
+The forest lives in the compact kernel (:mod:`repro.kernel`): URLs are
+interned to dense ids in a :class:`~repro.kernel.symbols.SymbolTable` and
+the whole forest is held in one array-backed
+:class:`~repro.kernel.compact.CompactTrie`.  :meth:`PPMModel.to_node_forest`
+exports it as :class:`~repro.core.node.TrieNode` objects for rendering,
+statistics and the JSON document; the export is a copy, so nothing written
+to it reaches the model.  ``tests/oracle.py`` keeps the literal Fig. 1
+node-forest builders that the differential suites compare against.
 """
 
 from __future__ import annotations
@@ -35,59 +27,24 @@ from repro.core.prediction import (
     Prediction,
     PredictionCursor,
     compact_suffix_matches,
-    iter_suffix_matches,
     predict_from_compact_context,
-    predict_from_context,
-    predict_from_matches,
+    predict_from_compact_matches,
     predict_from_table_context,
     predict_from_table_matches,
 )
-from repro.core.stats import path_utilization as _node_path_utilization
-from repro.core.stats import reset_usage as _node_reset_usage
 from repro.errors import NotFittedError
 from repro.kernel.compact import KEY_SHIFT, CompactTrie
+from repro.kernel.prune import prune_dense
 from repro.kernel.symbols import SymbolTable
 from repro.trace.sessions import Session
-
-
-def _collect_node_used_paths(
-    roots: "dict[str, TrieNode]",
-) -> list[tuple[str, ...]]:
-    """Root paths of every used node, in deterministic URL order."""
-    paths: list[tuple[str, ...]] = []
-    for url in sorted(roots):
-        stack: list[tuple[TrieNode, tuple[str, ...]]] = [(roots[url], (url,))]
-        while stack:
-            node, path = stack.pop()
-            if node.used:
-                paths.append(path)
-            for child_url in sorted(node.children, reverse=True):
-                stack.append((node.children[child_url], path + (child_url,)))
-    return paths
-
-
-def _mark_node_used_paths(
-    roots: "dict[str, TrieNode]", paths: Sequence[tuple[str, ...]]
-) -> None:
-    """Set the used flag on the nodes named by root paths (missing: skip)."""
-    for path in paths:
-        node = roots.get(path[0]) if path else None
-        for url in path[1:]:
-            if node is None:
-                break
-            node = node.child(url)
-        if node is not None:
-            node.used = True
 
 
 class PPMModel(ABC):
     """Abstract Markov-prediction-tree model.
 
-    Subclasses implement :meth:`_build` (node-forest construction) and may
-    implement :meth:`_build_compact` (construction straight into the
-    compact store; return True to claim the build).  Everything else —
-    prediction, statistics, usage marking — is shared and dispatches on
-    the live representation.
+    Subclasses implement :meth:`_build`, which fills the fresh compact
+    store and symbol table :meth:`fit` hands them.  Everything else —
+    prediction, statistics, usage marking — is shared.
     """
 
     #: Human-readable model name used in reports ("standard", "lrs", "pb").
@@ -100,28 +57,21 @@ class PPMModel(ABC):
     #: False and fall back to ``predict(cursor.context)``.
     supports_incremental: bool = False
 
-    def __init__(self, *, compact: bool | None = None) -> None:
-        self._roots: dict[str, TrieNode] = {}
-        self._store: CompactTrie | None = None
-        self._symbols: SymbolTable | None = None
+    def __init__(self) -> None:
+        self._store = CompactTrie()
+        self._symbols = SymbolTable()
         self._fitted = False
-        self._compact_requested = compact
         #: Structural-change counter; prediction cursors snapshot it and
         #: resync when it moves.  Bumped by fits, online inserts and
-        #: representation switches — never by usage marking.
+        #: pruning — never by usage marking.
         self._mutations = 0
-        #: Compiled prediction table for the compact store, cached per
-        #: mutation generation (``_table_mutations`` records which); any
-        #: structural change invalidates it exactly like cursors.
+        #: Compiled prediction table for the store, cached per mutation
+        #: generation (``_table_mutations`` records which); any structural
+        #: change invalidates it exactly like cursors.
         self._table = None
         self._table_mutations: int | None = None
 
     # -- fitting -----------------------------------------------------------
-
-    def _compact_enabled(self) -> bool:
-        if self._compact_requested is None:
-            return params.COMPACT_MODEL_KERNEL
-        return self._compact_requested
 
     def fit(self, sessions: Iterable[Session]) -> "PPMModel":
         """Build the prediction tree from training sessions.
@@ -129,97 +79,50 @@ class PPMModel(ABC):
         Accepts any iterable of sessions; refitting replaces the tree.
         Returns ``self`` so calls chain.
         """
-        sessions = list(sessions)
-        self._roots = {}
-        self._store = None
-        self._symbols = None
+        self._symbols = SymbolTable()
+        self._store = CompactTrie()
         self._mutations += 1
-        if self._compact_enabled():
-            self._symbols = SymbolTable()
-            self._store = CompactTrie()
-            if not self._build_compact(sessions):
-                self._store = None
-                self._symbols = None
-                self._build(sessions)
-        else:
-            self._build(sessions)
+        self._build(list(sessions))
         self._fitted = True
         return self
 
     @abstractmethod
     def _build(self, sessions: list[Session]) -> None:
-        """Populate ``self._roots`` from the training sessions."""
-
-    def _build_compact(self, sessions: list[Session]) -> bool:
-        """Populate ``self._store`` / ``self._symbols``; True if handled.
-
-        The base implementation declines, which makes :meth:`fit` fall
-        back to the node-forest :meth:`_build` — so subclasses without a
-        compact builder keep working under the compact default.
-        """
-        del sessions
-        return False
+        """Populate ``self._store`` / ``self._symbols`` from the sessions."""
 
     def _require_fitted(self) -> None:
         if not self._fitted:
             raise NotFittedError(f"{type(self).__name__} has not been fitted")
 
-    # -- representation ----------------------------------------------------
+    def prune(
+        self, *, cutoff: float | None = None, max_count: int | None = None
+    ) -> int:
+        """Apply Section 3.4's space optimisations to the fitted tree.
 
-    @property
-    def is_compact(self) -> bool:
-        """Whether the forest currently lives in the compact store."""
-        return self._store is not None
-
-    def _materialize(self) -> None:
-        """Adopt the node-forest representation (lossless, permanent)."""
-        assert self._store is not None and self._symbols is not None
-        self._roots = self._store.to_node_forest(self._symbols)
-        self._store = None
-        self._symbols = None
+        ``cutoff`` removes non-root nodes whose relative access probability
+        falls below it; ``max_count`` removes nodes accessed at most that
+        many times (see :func:`repro.kernel.prune.prune_dense`).  Returns
+        the number of nodes removed.
+        """
+        self._require_fitted()
+        self._store, removed = prune_dense(
+            self._store, cutoff=cutoff, max_count=max_count
+        )
         self._mutations += 1
-
-    def to_node_forest(self) -> dict[str, TrieNode]:
-        """The forest as :class:`TrieNode` roots, without switching modes.
-
-        On a compact model this materialises a fresh, equivalent forest
-        and leaves the model compact (serialisation uses this); on a node
-        model it returns the live roots.
-        """
-        if self._store is not None:
-            assert self._symbols is not None
-            return self._store.to_node_forest(self._symbols)
-        return self._roots
-
-    def to_compact(self) -> "PPMModel":
-        """Switch a node-forest model to the compact representation.
-
-        External references into the old node forest are not tracked;
-        callers converting mid-experiment should drop them.  Returns
-        ``self`` so calls chain.
-        """
-        if self._store is None:
-            symbols = SymbolTable()
-            self._store = CompactTrie.from_node_forest(self._roots, symbols)
-            self._symbols = symbols
-            self._roots = {}
-            self._mutations += 1
-        return self
+        return removed
 
     # -- prediction -----------------------------------------------------------
 
     def _compiled_table(self):
         """The compiled prediction table for the current store generation.
 
-        None when compilation is off (:data:`repro.params.COMPILED_PREDICT`),
-        the model is node-backed, or the store has garbage slots.  The
+        None only while the store has garbage slots (see
+        :func:`~repro.kernel.predict_table.compile_predict_table`).  The
         result — including None — is cached against the mutation counter,
         so a model compiles at most once per structural generation;
         buffer-mapped models arrive with the supervisor's precompiled
         table already cached and never compile at all.
         """
-        if self._store is None or not params.COMPILED_PREDICT:
-            return None
         if self._table_mutations != self._mutations:
             from repro.kernel.predict_table import compile_predict_table
 
@@ -244,32 +147,26 @@ class PPMModel(ABC):
     ) -> list[Prediction]:
         """Predict the next accesses given the session's URLs so far.
 
-        ``escape`` enables compression-style PPM fallback to shorter
-        contexts (an ablation; the paper's models leave it off) — see
-        :func:`repro.core.prediction.predict_from_context`.
+        Answers through the compiled table when it covers ``threshold``
+        and through the uncompiled store walk otherwise.  ``escape``
+        enables compression-style PPM fallback to shorter contexts (an
+        ablation; the paper's models leave it off) — see
+        :func:`repro.core.prediction.predict_from_compact_matches`.
         """
         self._require_fitted()
-        if self._store is not None:
-            table = self._compiled_table()
-            if table is not None and table.covers(threshold):
-                return predict_from_table_context(
-                    self._store,
-                    table,
-                    self._symbols,
-                    context,
-                    mark_used=mark_used,
-                    escape=escape,
-                )
-            return predict_from_compact_context(
+        table = self._compiled_table()
+        if table is not None and table.covers(threshold):
+            return predict_from_table_context(
                 self._store,
+                table,
                 self._symbols,
                 context,
-                threshold=threshold,
                 mark_used=mark_used,
                 escape=escape,
             )
-        return predict_from_context(
-            self._roots,
+        return predict_from_compact_context(
+            self._store,
+            self._symbols,
             context,
             threshold=threshold,
             mark_used=mark_used,
@@ -287,53 +184,38 @@ class PPMModel(ABC):
 
     def _match_states(self, context: Sequence[str]) -> list:
         """Batch suffix-match states for a cursor resync."""
-        if self._store is not None:
-            if not self._store.has_child_map:
-                # Buffer-mapped store: match through the compiled table's
-                # transition array rather than forcing the O(n) child-map
-                # build the mapping deliberately skipped.
-                table = self._compiled_table()
-                if table is not None:
-                    get_sym = self._symbols.get
-                    return table.match_states([get_sym(url) for url in context])
-            return [
-                (idx, path)
-                for idx, _order, path in compact_suffix_matches(
-                    self._store, self._symbols, context
-                )
-            ]
+        if not self._store.has_child_map:
+            # Buffer-mapped store: match through the compiled table's
+            # transition array rather than forcing the O(n) child-map
+            # build the mapping deliberately skipped.
+            table = self._compiled_table()
+            if table is not None:
+                get_sym = self._symbols.get
+                return table.match_states([get_sym(url) for url in context])
         return [
-            (node, path)
-            for node, _order, path in iter_suffix_matches(self._roots, context)
+            (idx, path)
+            for idx, _order, path in compact_suffix_matches(
+                self._store, self._symbols, context
+            )
         ]
 
     def _advance_states(self, states: list, url: str) -> list:
         """Extend each suffix-match state by one click (cursor hot path)."""
-        if self._store is not None:
-            store = self._store
-            sym = self._symbols.get(url)
-            if sym is None:
-                return []
-            if not store.has_child_map:
-                table = self._compiled_table()
-                if table is not None:
-                    return table.advance_states(states, sym)
-            children = store.children
-            advanced = []
-            for handle, path in states:
-                child = children.get((handle << KEY_SHIFT) | sym)
-                if child is not None:
-                    advanced.append((child, path + [child]))
-            root = store.roots.get(sym)
-            if root is not None:
-                advanced.append((root, [root]))
-            return advanced
+        store = self._store
+        sym = self._symbols.get(url)
+        if sym is None:
+            return []
+        if not store.has_child_map:
+            table = self._compiled_table()
+            if table is not None:
+                return table.advance_states(states, sym)
+        children = store.children
         advanced = []
         for handle, path in states:
-            child = handle.children.get(url)
+            child = children.get((handle << KEY_SHIFT) | sym)
             if child is not None:
                 advanced.append((child, path + [child]))
-        root = self._roots.get(url)
+        root = store.roots.get(sym)
         if root is not None:
             advanced.append((root, [root]))
         return advanced
@@ -365,117 +247,97 @@ class PPMModel(ABC):
                 escape=escape,
             )
         matches = cursor.matches()
-        if self._store is not None:
-            from repro.core.prediction import predict_from_compact_matches
-
-            table = self._compiled_table()
-            if table is not None and table.covers(threshold):
-                return predict_from_table_matches(
-                    self._store,
-                    table,
-                    self._symbols,
-                    matches,
-                    mark_used=mark_used,
-                    escape=escape,
-                )
-            return predict_from_compact_matches(
+        table = self._compiled_table()
+        if table is not None and table.covers(threshold):
+            return predict_from_table_matches(
                 self._store,
+                table,
                 self._symbols,
                 matches,
-                threshold=threshold,
                 mark_used=mark_used,
                 escape=escape,
             )
-        return predict_from_matches(
-            matches, threshold=threshold, mark_used=mark_used, escape=escape
+        return predict_from_compact_matches(
+            self._store,
+            self._symbols,
+            matches,
+            threshold=threshold,
+            mark_used=mark_used,
+            escape=escape,
         )
 
     # -- tree access and statistics ------------------------------------------
+
+    def to_node_forest(self) -> dict[str, TrieNode]:
+        """The forest exported as :class:`TrieNode` roots, keyed by URL.
+
+        A fresh copy on every call (serialisation and rendering use it):
+        counts, usage flags and special links as they are now, with no
+        path back into the model.
+        """
+        return self._store.to_node_forest(self._symbols)
 
     @property
     def roots(self) -> dict[str, TrieNode]:
         """The root nodes of the prediction tree, keyed by URL.
 
-        On a compact model the first access materialises the equivalent
-        :class:`TrieNode` forest and the model adopts it permanently, so
-        callers may mutate what they get back and every later read sees
-        the same objects.
+        A read-only :meth:`to_node_forest` view: writing through it no
+        longer changes the model.
         """
-        if self._store is not None:
-            self._materialize()
-        return self._roots
+        return self.to_node_forest()
 
     @property
     def is_fitted(self) -> bool:
         return self._fitted
 
     def iter_nodes(self) -> Iterator[TrieNode]:
-        """Every node of the forest, pre-order, deterministic."""
-        roots = self.roots
+        """Every node of the forest, pre-order, deterministic.
+
+        Walks a read-only :meth:`to_node_forest` view: writing to the
+        nodes no longer changes the model.
+        """
+        roots = self.to_node_forest()
         for url in sorted(roots):
             yield from roots[url].walk()
 
     @property
     def node_count(self) -> int:
         """Number of stored URL nodes — the paper's space metric."""
-        if self._store is not None:
-            return self._store.node_count
-        return sum(1 for _ in self.iter_nodes())
+        return self._store.node_count
 
     def reset_usage(self) -> None:
         """Clear every node's used flag (before a fresh replay)."""
-        if self._store is not None:
-            self._store.reset_used()
-        else:
-            _node_reset_usage(self._roots)
+        self._store.reset_used()
 
     def path_utilization(self) -> float:
         """Fraction of root-to-leaf paths used for predictions (Figure 2)."""
-        if self._store is not None:
-            total, used = self._store.path_stats()
-            return used / total if total else 0.0
-        return _node_path_utilization(self._roots)
+        total, used = self._store.path_stats()
+        return used / total if total else 0.0
 
     def collect_used_paths(self) -> list[tuple[str, ...]]:
         """Root URL paths of every node marked used (for shard merging)."""
-        if self._store is not None:
-            return self._store.collect_used_paths(self._symbols)
-        return _collect_node_used_paths(self._roots)
+        return self._store.collect_used_paths(self._symbols)
 
     def mark_used_paths(self, paths: Sequence[tuple[str, ...]]) -> None:
         """Set the used flag on the nodes named by root URL paths."""
-        if self._store is not None:
-            self._store.mark_used_paths(self._symbols, paths)
-        else:
-            _mark_node_used_paths(self._roots, paths)
+        self._store.mark_used_paths(self._symbols, paths)
 
     def insert_path(self, urls: Sequence[str], *, weight: int = 1) -> None:
         """Insert a URL path from the root level, bumping counts by weight."""
         if not urls:
             return
         self._mutations += 1
-        if self._store is not None:
-            self._store.insert_path(self._symbols.intern_sequence(urls), weight)
-            return
-        root = self._roots.get(urls[0])
-        if root is None:
-            root = TrieNode(urls[0])
-            self._roots[urls[0]] = root
-        root.count += weight
-        node = root
-        for url in urls[1:]:
-            node = node.ensure_child(url)
-            node.count += weight
+        self._store.insert_path(self._symbols.intern_sequence(urls), weight)
 
     def lookup(self, urls: Sequence[str]) -> TrieNode | None:
         """Return the node at the end of a root path, or None.
 
-        Answers in :class:`TrieNode` terms, so a compact model adopts the
-        node representation first (see :attr:`roots`).
+        The node belongs to a read-only :meth:`to_node_forest` view:
+        writing to it no longer changes the model.
         """
         if not urls:
             return None
-        node = self.roots.get(urls[0])
+        node = self.to_node_forest().get(urls[0])
         for url in urls[1:]:
             if node is None:
                 return None
@@ -485,5 +347,4 @@ class PPMModel(ABC):
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         if not self._fitted:
             return f"{type(self).__name__}(unfitted)"
-        suffix = ", compact" if self._store is not None else ""
-        return f"{type(self).__name__}(nodes={self.node_count}{suffix})"
+        return f"{type(self).__name__}(nodes={self.node_count})"

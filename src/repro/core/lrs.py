@@ -9,95 +9,43 @@ paste into multiple sub-branches starting from different URLs" — the node
 duplication the paper identifies as the reason LRS space grows with the
 number of training days.
 
-Implementation: an Apriori-style level-wise trie build.  Pass *k* counts
-the occurrences of length-*k* subsequences whose length-(k-1) prefix is
-already frequent, so subsequences that occur once are never materialised
-beyond one trie level.  Because every start position of every session is
-counted, the resulting frequent-subsequence trie already contains every
-suffix of every LRS as a root path — it *is* the prediction tree.
+Implementation: the trie of every subsequence occurring at least
+``min_repeats`` times.  Occurrence counts only fall under extension, so
+this is the n-gram count trie of the corpus with a count filter, built in
+bulk by :func:`repro.kernel.bulk.build_ngram_trie`.  Because every start
+position of every session is counted, the trie already contains every
+suffix of every LRS as a root path — it *is* the prediction tree, and its
+root-to-leaf paths are the LRS patterns.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro import params
 from repro.core.base import PPMModel
-from repro.core.node import TrieNode
 from repro.kernel.bulk import build_ngram_trie, dedup_sequences
+from repro.kernel.compact import CompactTrie
+from repro.kernel.symbols import SymbolTable
 from repro.trace.sessions import Session
 
 
-def _prune_level(
-    roots: dict[str, TrieNode], level: int, min_repeats: int
-) -> bool:
-    """Drop infrequent children of every depth-``level`` node.
-
-    Returns True when at least one depth-``level+1`` node survives, i.e.
-    the next extension pass has work to do.
-    """
-    survivors = False
-
-    def visit(node: TrieNode, depth: int) -> None:
-        nonlocal survivors
-        if depth == level:
-            for url in list(node.children):
-                if node.children[url].count < min_repeats:
-                    del node.children[url]
-            if node.children:
-                survivors = True
-        else:
-            for child in node.children.values():
-                visit(child, depth + 1)
-
-    for root in roots.values():
-        visit(root, 1)
-    return survivors
-
-
-def _frequent_subsequence_forest(
-    sequences: list[tuple[str, ...]],
+def _frequent_subsequence_store(
+    symbols: SymbolTable,
+    sequences: Sequence[Sequence[str]],
     *,
-    min_repeats: int = params.LRS_MIN_REPEATS,
-    max_length: int | None = None,
-) -> dict[str, TrieNode]:
-    """Build the trie of subsequences occurring at least ``min_repeats`` times.
-
-    Level-wise growth: level 1 counts single URLs; level *k+1* counts the
-    one-URL extensions of frequent depth-*k* paths only.  Nodes that fail
-    the repeat threshold at their level are pruned before the next pass.
-    """
-    roots: dict[str, TrieNode] = {}
-    for seq in sequences:
-        for url in seq:
-            node = roots.get(url)
-            if node is None:
-                node = TrieNode(url)
-                roots[url] = node
-            node.count += 1
-    roots = {u: n for u, n in roots.items() if n.count >= min_repeats}
-
-    level = 1
-    while roots and (max_length is None or level < max_length):
-        extended = False
-        for seq in sequences:
-            for start in range(len(seq) - level):
-                node = roots.get(seq[start])
-                if node is None:
-                    continue
-                for offset in range(1, level):
-                    node = node.child(seq[start + offset])
-                    if node is None:
-                        break
-                if node is None:
-                    continue
-                child = node.ensure_child(seq[start + level])
-                child.count += 1
-                extended = True
-        if not extended:
-            break
-        if not _prune_level(roots, level, min_repeats):
-            break
-        level += 1
-    return roots
+    min_repeats: int,
+    max_length: int | None,
+) -> CompactTrie:
+    """The trie of subsequences occurring at least ``min_repeats`` times."""
+    unique, weights = dedup_sequences([tuple(seq) for seq in sequences])
+    intern = symbols.intern_sequence
+    return build_ngram_trie(
+        [intern(seq) for seq in unique],
+        max_height=max_length,
+        min_count=min_repeats,
+        weights=weights,
+    )
 
 
 def mine_longest_repeating_subsequences(
@@ -112,21 +60,11 @@ def mine_longest_repeating_subsequences(
     and no single-URL extension of it still repeats — i.e. it is a
     root-to-leaf path of the frequent-subsequence trie.
     """
-    roots = _frequent_subsequence_forest(
-        sequences, min_repeats=min_repeats, max_length=max_length
+    symbols = SymbolTable()
+    store = _frequent_subsequence_store(
+        symbols, sequences, min_repeats=min_repeats, max_length=max_length
     )
-    patterns: list[tuple[str, ...]] = []
-
-    def descend(node: TrieNode, prefix: tuple[str, ...]) -> None:
-        if node.is_leaf:
-            patterns.append(prefix)
-            return
-        for url in sorted(node.children):
-            descend(node.children[url], prefix + (url,))
-
-    for url in sorted(roots):
-        descend(roots[url], (url,))
-    return patterns
+    return store.leaf_paths(symbols)
 
 
 class LRSPPM(PPMModel):
@@ -149,48 +87,22 @@ class LRSPPM(PPMModel):
         *,
         min_repeats: int = params.LRS_MIN_REPEATS,
         max_length: int | None = None,
-        compact: bool | None = None,
     ) -> None:
-        super().__init__(compact=compact)
+        super().__init__()
         if min_repeats < 2:
             raise ValueError(f"min_repeats must be >= 2, got {min_repeats}")
         self.min_repeats = min_repeats
         self.max_length = max_length
 
     def _build(self, sessions: list[Session]) -> None:
-        sequences = [session.urls for session in sessions]
-        self._roots = _frequent_subsequence_forest(
-            sequences, min_repeats=self.min_repeats, max_length=self.max_length
+        self._store = _frequent_subsequence_store(
+            self._symbols,
+            [session.urls for session in sessions],
+            min_repeats=self.min_repeats,
+            max_length=self.max_length,
         )
-
-    def _build_compact(self, sessions: list[Session]) -> bool:
-        # The Apriori level build keeps exactly the subsequences occurring
-        # >= min_repeats times: occurrence counts only fall under
-        # extension, so the bulk n-gram kernel's count filter builds the
-        # identical (already dense) trie.
-        sequences, weights = dedup_sequences([s.urls for s in sessions])
-        intern = self._symbols.intern_sequence
-        self._store = build_ngram_trie(
-            [intern(seq) for seq in sequences],
-            max_height=self.max_length,
-            min_count=self.min_repeats,
-            weights=weights,
-        )
-        return True
 
     def patterns(self) -> list[tuple[str, ...]]:
         """The fitted model's LRS patterns (root-to-leaf paths)."""
         self._require_fitted()
-        result: list[tuple[str, ...]] = []
-
-        def descend(node: TrieNode, prefix: tuple[str, ...]) -> None:
-            if node.is_leaf:
-                result.append(prefix)
-                return
-            for url in sorted(node.children):
-                descend(node.children[url], prefix + (url,))
-
-        roots = self.roots
-        for url in sorted(roots):
-            descend(roots[url], (url,))
-        return result
+        return self._store.leaf_paths(self._symbols)

@@ -1,4 +1,10 @@
-"""The Markov-prediction-tree node shared by all three PPM models."""
+"""The Markov-prediction-tree node: the tree's export type.
+
+Models store their tree in a :class:`~repro.kernel.compact.CompactTrie`;
+:meth:`repro.core.base.PPMModel.to_node_forest` exports it as one
+:class:`TrieNode` per URL for the JSON model document, rendering and the
+statistics of :mod:`repro.core.stats`.
+"""
 
 from __future__ import annotations
 

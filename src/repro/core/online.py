@@ -53,9 +53,8 @@ def update_model(model: PPMModel, sessions: Iterable[Session]) -> PPMModel:
             "retained session window"
         )
     if isinstance(model, (PopularityBasedPPM, StandardPPM)):
-        # Both models fold sessions through their own representation-aware
-        # path (node forest or compact store), bumping the mutation counter
-        # so live prediction cursors resync.
+        # Both models fold sessions straight into their store, bumping the
+        # mutation counter so live prediction cursors resync.
         model.fold_sessions(list(sessions))
         return model
     # Generic fallback: models built from height-bounded suffix inserts.

@@ -124,10 +124,9 @@ def _model_metadata(model: PPMModel) -> dict[str, Any]:
 def dump_model(model: PPMModel) -> dict[str, Any]:
     """Serialise a fitted model to a JSON-compatible dict.
 
-    Works on either forest representation: a compact model is converted
-    node-for-node for the dump without switching the model itself, so the
-    document — children sorted, special links in creation order — is
-    identical to the one its node-forest twin produces.
+    The store is exported node for node through
+    :meth:`~repro.core.base.PPMModel.to_node_forest`: children sorted by
+    URL, special links in creation order.
     """
     if not model.is_fitted:
         raise ModelError("cannot serialise an unfitted model")
@@ -187,7 +186,10 @@ def _construct(class_name: str, meta: dict[str, Any]) -> PPMModel:
 def load_model(payload: dict[str, Any]) -> PPMModel:
     """Reconstruct a model from a dict produced by :func:`dump_model`.
 
-    Every malformation — wrong top-level type, missing keys, wrong
+    The document's node forest is loaded into the model's compact store
+    (:meth:`~repro.kernel.compact.CompactTrie.from_node_forest`), so a
+    restored model predicts through a compiled table exactly like a
+    freshly fitted one.  Every malformation — wrong top-level type, missing keys, wrong
     ``FORMAT_VERSION``, broken node payloads — surfaces as
     :class:`~repro.errors.ModelError`, so callers restoring persisted
     state (the serving boot path in particular) fail with one clear error
@@ -206,7 +208,6 @@ def load_model(payload: dict[str, Any]) -> PPMModel:
         for root_payload in payload.get("roots", ()):
             root = _node_from_dict(root_payload)
             roots[root.url] = root
-        model._roots = roots
         # Re-wire special links from their recorded paths.
         for root_url, paths in payload.get("special_links", {}).items():
             root = roots.get(root_url)
@@ -218,6 +219,9 @@ def load_model(payload: dict[str, Any]) -> PPMModel:
                     node = node.child(url) if node is not None else None
                 if node is not None:
                     root.special_links.append(node)
+        symbols = SymbolTable()
+        model._store = CompactTrie.from_node_forest(roots, symbols)
+        model._symbols = symbols
     except ModelError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
@@ -239,36 +243,40 @@ def loads_model(text: str) -> PPMModel:
     return load_model(payload)
 
 
-def _model_store(model: PPMModel) -> tuple[CompactTrie, SymbolTable]:
-    """The model's compact store, converting a node forest without
-    switching the model's own representation."""
-    if model._store is not None:
-        return model._store, model._symbols
-    symbols = SymbolTable()
-    return CompactTrie.from_node_forest(model._roots, symbols), symbols
-
-
 def model_to_buffer(model: PPMModel) -> bytes:
     """Serialise a fitted model into one contiguous binary buffer.
 
     The shared-memory twin of :func:`dump_model`: a fixed header (magic,
     version, CRC-32 checksum), a JSON metadata blob (model class,
     constructor metadata, the interned URL table), the compact trie's
-    :func:`~repro.kernel.buffer.trie_to_buffer` block and — when
-    :data:`repro.params.COMPILED_PREDICT` is on — the compiled prediction
-    table's :meth:`~repro.kernel.predict_table.PredictTable.to_buffer`
-    block.  One such buffer is what ``repro.serve.multiproc`` writes into
-    a shared-memory segment for every worker process to map read-only;
+    :func:`~repro.kernel.buffer.trie_to_buffer` block and the compiled
+    prediction table's
+    :meth:`~repro.kernel.predict_table.PredictTable.to_buffer` block.  One
+    such buffer is what ``repro.serve.multiproc`` writes into a
+    shared-memory segment for every worker process to map read-only;
     compiling here, once, at serialisation time is what lets workers map
     the table zero-copy and never compile themselves.
     """
     if not model.is_fitted:
         raise ModelError("cannot serialise an unfitted model")
-    store, symbols = _model_store(model)
-    if len(store.syms) != store.node_count:
+    store, symbols = model._store, model._symbols
+    if len(store.syms) == store.node_count:
+        # Go through the model's cache so the supervisor compiles at most
+        # once even when it both serves and serialises the same model.
+        table = model._compiled_table()
+    else:
         # Densify once, up front, so the trie block and the compiled
         # table are built from the same node numbering.
+        from repro.kernel.predict_table import compile_predict_table
+
         store = store.compacted()
+        table = compile_predict_table(
+            store,
+            symbols,
+            special_threshold=getattr(
+                model, "special_link_threshold", params.SPECIAL_LINK_THRESHOLD
+            ),
+        )
     meta = json.dumps(
         {
             "class": type(model).__name__,
@@ -279,25 +287,7 @@ def model_to_buffer(model: PPMModel) -> bytes:
     ).encode()
     pad = (-len(meta)) % 8
     trie = trie_to_buffer(store)
-    table_blob = b""
-    if params.COMPILED_PREDICT:
-        if store is model._store:
-            # Serialising the model's own (dense) store: go through the
-            # model's cache so the supervisor compiles at most once even
-            # when it both serves and serialises the same model.
-            table = model._compiled_table()
-        else:
-            from repro.kernel.predict_table import compile_predict_table
-
-            table = compile_predict_table(
-                store,
-                symbols,
-                special_threshold=getattr(
-                    model, "special_link_threshold", params.SPECIAL_LINK_THRESHOLD
-                ),
-            )
-        if table is not None:
-            table_blob = table.to_buffer()
+    table_blob = table.to_buffer()
     payload = meta + b"\x00" * pad + trie + table_blob
     header = _MODEL_HEADER.pack(
         MODEL_BUFFER_MAGIC,
@@ -352,7 +342,6 @@ def model_from_buffer(
     trie_end = meta_len + pad + trie_len
     model._store = trie_from_buffer(payload[meta_len + pad : trie_end], copy=copy)
     model._symbols = symbols
-    model._roots = {}
     model._fitted = True
     model._mutations += 1
     if table_len:

@@ -17,10 +17,6 @@ measures its effect on the paper's metrics.
 from __future__ import annotations
 
 from repro.core.pb import PopularityBasedPPM
-from repro.core.pruning import (
-    prune_by_absolute_count,
-    prune_by_relative_probability,
-)
 from repro.experiments.lab import DEFAULT_SEED, get_lab
 from repro.experiments.result import ExperimentResult
 
@@ -158,14 +154,8 @@ def ablation_pruning(
                 prune_absolute_count=None,
             )
             model.fit(split.train_sessions)
-            removed_rel = (
-                prune_by_relative_probability(model.roots, cutoff=cutoff)
-                if cutoff > 0
-                else 0
-            )
-            removed_abs = (
-                prune_by_absolute_count(model.roots, max_count=1) if absolute else 0
-            )
+            removed_rel = model.prune(cutoff=cutoff) if cutoff > 0 else 0
+            removed_abs = model.prune(max_count=1) if absolute else 0
             simulator = PrefetchSimulator(
                 model,
                 lab.url_sizes,

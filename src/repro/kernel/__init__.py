@@ -3,9 +3,7 @@
 The paper's selling point is high accuracy at *low storage*, yet a naive
 reproduction spends most of its build time and memory on Python string
 keys and one ``dict``-of-children object per trie node.  This package is
-the storage/latency substrate every model builds on when the compact
-kernel is enabled (the default, see
-:data:`repro.params.COMPACT_MODEL_KERNEL`):
+the storage/latency substrate every model builds on:
 
 * :mod:`repro.kernel.symbols` — :class:`SymbolTable` interns every URL
   into a dense integer id once, so the hot trie loops hash machine
@@ -14,18 +12,20 @@ kernel is enabled (the default, see
   prediction forest in parallel integer arrays (counts / parents /
   first-child / next-sibling) plus one packed ``(parent, symbol) -> child``
   int map, with lossless conversion to and from the
-  :class:`~repro.core.node.TrieNode` forest API;
+  :class:`~repro.core.node.TrieNode` export type;
 * :mod:`repro.kernel.bulk` — vectorised level-by-level trie
   construction: the PPM builds are n-gram counting, so the whole forest
   is discovered with ``np.unique`` over packed (parent, symbol) keys and
   loaded into the arrays in bulk;
 * :mod:`repro.kernel.prune` — the paper's two space-optimisation passes
-  reimplemented over the array store.
+  over the array store;
+* :mod:`repro.kernel.predict_table` — the compiled prediction table:
+  per-node candidate rows and one sorted transition array.
 
-Equivalence guarantee: a model fitted through the compact kernel
-predicts, serialises and renders **identically** to one fitted on
-:class:`~repro.core.node.TrieNode` objects; ``tests/kernel/`` pins this
-contract model by model.
+Equivalence guarantee: every model predicts, serialises and renders
+**identically** to the literal Fig. 1 node-forest builders of
+``tests/oracle.py``; ``tests/kernel/`` and ``tests/differential/`` pin
+this contract model by model.
 """
 
 from repro.kernel.buffer import (

@@ -10,10 +10,9 @@ node.  The sibling chain exists so children can be enumerated without
 consulting the packed map.
 
 The store converts losslessly to and from the
-:class:`~repro.core.node.TrieNode` forest the rest of the library's tree
-API (serialisation, rendering, pruning ablations, statistics) is written
-against: counts, usage flags and PB-PPM special links all survive the
-round trip, in order.
+:class:`~repro.core.node.TrieNode` forest that the JSON model document,
+rendering and tree statistics read: counts, usage flags and PB-PPM special
+links all survive the round trip, in order.
 """
 
 from __future__ import annotations
@@ -345,14 +344,33 @@ class CompactTrie:
                         child = sibling[child]
         return total, used_total
 
+    def leaf_paths(self, symbols: "SymbolTable") -> list[tuple[str, ...]]:
+        """Every root-to-leaf URL path, roots and children in URL order."""
+        url_of = symbols.url
+        paths: list[tuple[str, ...]] = []
+        stack = [
+            (self.roots[sym], (url_of(sym),))
+            for sym in sorted(self.roots, key=url_of, reverse=True)
+        ]
+        while stack:
+            idx, path = stack.pop()
+            if self.first_child[idx] == _NO_NODE:
+                paths.append(path)
+                continue
+            pairs = sorted(
+                ((url_of(sym), child) for sym, child in self.iter_children(idx)),
+                reverse=True,
+            )
+            stack.extend((child, path + (url,)) for url, child in pairs)
+        return paths
+
     def collect_used_paths(
         self, symbols: "SymbolTable"
     ) -> list[tuple[str, ...]]:
         """Root URL paths of every node whose usage flag is set.
 
-        Deterministic order matching the :class:`TrieNode` collector in
-        :mod:`repro.parallel.worker`: roots sorted by URL, children
-        visited in URL order.
+        Deterministic order: roots sorted by URL, children visited in URL
+        order.
         """
         url_of = symbols.url
         paths: list[tuple[str, ...]] = []
@@ -378,8 +396,8 @@ class CompactTrie:
     ) -> None:
         """Set the usage flag on the nodes named by root URL paths.
 
-        Paths that no longer resolve are ignored, mirroring the
-        :class:`TrieNode` marker.
+        Paths that no longer resolve are ignored — they can only appear if
+        the store was mutated between collection and marking.
         """
         get_sym = symbols.get
         for path in paths:

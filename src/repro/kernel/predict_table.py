@@ -29,9 +29,9 @@ Three array families make up a :class:`PredictTable`:
   O(n) child-dict rebuild the eager path needed per remap.
 
 The table is immutable once compiled and carries the thresholds it was
-compiled at; dispatch (:meth:`covers`) falls back to the uncompiled path
-for any other threshold, so experiment sweeps stay exact.  Row slices are
-materialised lazily into tuples of shared frozen
+compiled at; dispatch (:meth:`covers`) falls back to the uncompiled store
+walk for any other threshold, so experiment sweeps stay exact.  Row
+slices are materialised lazily into tuples of shared frozen
 :class:`~repro.core.prediction.Prediction` objects, cached per
 ``(node, order)`` — repeat visits to hot nodes allocate nothing.
 
@@ -156,7 +156,7 @@ class PredictTable:
 
         Rows were filtered at compile time, so only the exact compiled
         threshold is answerable; any other value (an ablation sweep, a
-        per-request override) must use the uncompiled path.
+        per-request override) must use the uncompiled store walk.
         """
         return threshold == self.threshold
 

@@ -1,11 +1,18 @@
 """Section 3.4's space optimisations over the array-backed store.
 
-Same contracts as :mod:`repro.core.pruning`, re-expressed on
-:class:`~repro.kernel.compact.CompactTrie` indices so PB-PPM's two
-post-build passes never have to materialise a :class:`TrieNode` forest.
-Each pass mutates the store in place, drops special links into removed
-subtrees, and returns the number of nodes removed — the same number the
-node-based pass reports on the equivalent forest.
+1. **Relative-probability cut** — examine each non-root node; if its
+   relative access probability (its count over its parent's count) is lower
+   than a cut-off (5-10 % in the paper's experiments), remove the node and
+   the branches linked under it.
+2. **Absolute-count cut** — remove each node whose absolute number of
+   accesses is at most one (applied for some traces, e.g. UCB-CS).
+
+Each pass drops PB-PPM special links into removed subtrees, so the tree
+never dangles, and returns the number of nodes removed.  The per-pass
+functions mutate a store in place; :func:`prune_dense` runs both as one
+vectorised rebuild and is what model fits and
+:meth:`repro.core.base.PPMModel.prune` use.  ``tests/oracle.py`` keeps the
+literal node-forest passes they are checked against.
 """
 
 from __future__ import annotations
@@ -24,9 +31,8 @@ def prune_compact_by_relative_probability(
 ) -> int:
     """Remove non-root nodes with relative access probability below ``cutoff``.
 
-    Mirrors :func:`repro.core.pruning.prune_by_relative_probability`: the
-    comparison is strict, a zero-count parent yields probability 0.0 for
-    every child, and roots are never touched.
+    The comparison is strict, a zero-count parent yields probability 0.0
+    for every child, and roots are never touched.
     """
     if not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be within [0, 1]: {cutoff}")
@@ -53,8 +59,10 @@ def prune_compact_by_absolute_count(
 ) -> int:
     """Remove every node accessed at most ``max_count`` times.
 
-    Mirrors :func:`repro.core.pruning.prune_by_absolute_count`, including
-    removal of failing roots together with their whole branch set.
+    A root failing the test is removed with its whole branch set;
+    interior failures drop their subtree (counts are monotone
+    non-increasing along a branch, so a failing node's descendants all
+    fail too).
     """
     if max_count < 0:
         raise ValueError(f"max_count must be >= 0: {max_count}")

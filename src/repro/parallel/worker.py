@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from repro.core.base import PPMModel
-from repro.core.node import TrieNode
 from repro.core.popularity import PopularityTable
 from repro.errors import WorkerCrash
 from repro.resilience.faults import FaultPlan
@@ -96,46 +95,6 @@ class ShardOutcome:
     used_paths: list[tuple[str, ...]]
     #: Shard events in replay order, or None when not requested.
     events: list[SimulationEvent] | None
-
-
-def collect_used_paths(
-    roots: Mapping[str, TrieNode]
-) -> list[tuple[str, ...]]:
-    """Root paths of every node whose ``used`` flag is set.
-
-    In a trie every node has exactly one parent, so the URL path from its
-    root identifies it uniquely — including PB-PPM's duplicated popular
-    nodes, which special links reference *within* their branch.
-    """
-    paths: list[tuple[str, ...]] = []
-    for url in sorted(roots):
-        stack: list[tuple[TrieNode, tuple[str, ...]]] = [(roots[url], (url,))]
-        while stack:
-            node, path = stack.pop()
-            if node.used:
-                paths.append(path)
-            for child_url in sorted(node.children, reverse=True):
-                stack.append((node.children[child_url], path + (child_url,)))
-    return paths
-
-
-def mark_used_paths(
-    roots: Mapping[str, TrieNode], paths: Sequence[tuple[str, ...]]
-) -> None:
-    """Set the ``used`` flag on the nodes named by ``paths``.
-
-    Paths that no longer resolve are ignored — they can only appear if the
-    forest was mutated between dispatch and merge, in which case the
-    utilisation metric is undefined anyway.
-    """
-    for path in paths:
-        node = roots.get(path[0]) if path else None
-        for url in path[1:]:
-            if node is None:
-                break
-            node = node.child(url)
-        if node is not None:
-            node.used = True
 
 
 def replay_shard(task: ShardTask) -> ShardOutcome:

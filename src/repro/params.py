@@ -138,44 +138,8 @@ TRUE_TRANSFER_RATE_BPS: float = 64_000.0
 SPECIAL_LINK_THRESHOLD: float = 0.05
 
 # --------------------------------------------------------------------------
-# Model kernel (not a paper constant; see repro.kernel)
+# Prediction engine (not a paper constant; see repro.core.prediction)
 # --------------------------------------------------------------------------
-
-#: When True (the default), models store their prediction forest in the
-#: interned, array-backed :class:`repro.kernel.compact.CompactTrie` instead
-#: of a :class:`repro.core.node.TrieNode` object per URL.  Predictions,
-#: serialisation and rendering are identical either way; the compact store
-#: builds faster and holds the same forest in a fraction of the memory.
-#: Models accept ``compact=`` to override per instance, and touching
-#: ``model.roots`` transparently materialises the node forest for code that
-#: mutates trees directly.
-COMPACT_MODEL_KERNEL: bool = True
-
-#: When True (the default), models compile their compact store into a
-#: :class:`repro.kernel.predict_table.PredictTable` — per-node candidate
-#: rows already filtered through the prediction threshold and sorted by
-#: ``(-probability, url)``, plus one sorted packed-key transition array —
-#: so ``predict`` is an O(k) row slice and a cursor advance is a couple of
-#: ``searchsorted`` probes.  Predictions are bit-identical either way (the
-#: differential harness pins it); the table is just compiled once per
-#: model generation instead of re-deriving candidates on every request.
-#: The supervisor ships the compiled table inside the shared-memory model
-#: segment, so serving workers never compile.  Tables answer only the
-#: exact threshold they were compiled at; other thresholds fall back to
-#: the uncompiled path.
-COMPILED_PREDICT: bool = True
-
-#: When True (the default), :class:`repro.trace.dataset.Trace` runs its
-#: derivation pipeline — successful-GET filtering, the deterministic
-#: (timestamp, client, url) sort, the embedded-object fold, sessionisation,
-#: popularity counting and day splitting — as batched NumPy passes over the
-#: interned columns of :mod:`repro.trace.columnar` instead of per-record
-#: Python loops.  Every derived object (records, requests, sessions, splits)
-#: is bit-identical either way; the columnar plane is just 10x+ faster and
-#: keeps multi-million-event traces in flat memory.  The flag is read once
-#: when a ``Trace`` is constructed, so flipping it never changes an existing
-#: trace mid-computation.
-COLUMNAR_TRACE: bool = True
 
 #: Shared absolute tolerance for probability-vs-threshold comparisons in the
 #: prediction engine.  Conditional probabilities are exact ratios of small
@@ -221,19 +185,6 @@ SERVE_MAX_INFLIGHT: int = 64
 
 #: ``Retry-After`` seconds advertised on shed / timed-out responses.
 SERVE_RETRY_AFTER_S: float = 1.0
-
-#: When True (the default), the data-plane endpoints (``/report``,
-#: ``/predict``, ``/healthz``, ``/metrics``) are dispatched inline on the
-#: event loop instead of through a per-request ``asyncio.wait_for`` task,
-#: and their query strings go through a fast parser (falling back to
-#: ``urlsplit``/``parse_qsl`` for percent-escapes).  Those handlers are
-#: synchronous, so the per-request deadline could never preempt them
-#: anyway — the task and timer were pure overhead.  The slow lane is kept
-#: for ``/admin/*`` and whenever a fault plan is armed (injected stalls
-#: must still hold an in-flight slot and trip the deadline), and flipping
-#: this off restores the previous dispatch byte-for-byte — the serving
-#: benchmark's baseline.
-SERVE_FAST_DISPATCH: bool = True
 
 #: Deadline, seconds, for one read-copy-update model rebuild.  A rebuild
 #: that stalls past it counts as a breaker failure and the last-good

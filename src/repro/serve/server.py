@@ -456,50 +456,33 @@ class PrefetchServer:
         self._connections.add(writer)
         try:
             while True:
-                headers: dict[str, str] = {}
-                if params.SERVE_FAST_DISPATCH:
-                    # One readuntil for the whole head instead of one
-                    # readline per header line; identical framing for
-                    # CRLF clients (every client in this repo), and the
-                    # slow lane below remains bug-for-bug available by
-                    # flipping the flag.
-                    try:
-                        head = await reader.readuntil(b"\r\n\r\n")
-                    except asyncio.IncompleteReadError as exc:
-                        if exc.partial:
-                            self.errors_total += 1
-                            await self._write_response(
-                                writer,
-                                *_error_body(400, "malformed request line"),
-                                close=True,
-                            )
-                        break
-                    except asyncio.LimitOverrunError:
+                # One readuntil for the whole head: CRLF framing, as every
+                # HTTP/1.1 client sends it.
+                try:
+                    head = await reader.readuntil(b"\r\n\r\n")
+                except asyncio.IncompleteReadError as exc:
+                    if exc.partial:
                         self.errors_total += 1
                         await self._write_response(
                             writer,
-                            *_error_body(400, "request head too large"),
+                            *_error_body(400, "malformed request line"),
                             close=True,
                         )
-                        break
-                    lines = head[:-4].split(b"\r\n")
-                    request_line = lines[0]
-                    for line in lines[1:]:
-                        name, _, value = (
-                            line.decode("latin-1").partition(":")
-                        )
-                        headers[name.strip().lower()] = value.strip()
-                else:
-                    request_line = await reader.readline()
-                    if not request_line:
-                        break
-                    request_line = request_line.rstrip(b"\r\n")
-                    while True:
-                        line = await reader.readline()
-                        if line in (b"\r\n", b"\n", b""):
-                            break
-                        name, _, value = line.decode("latin-1").partition(":")
-                        headers[name.strip().lower()] = value.strip()
+                    break
+                except asyncio.LimitOverrunError:
+                    self.errors_total += 1
+                    await self._write_response(
+                        writer,
+                        *_error_body(400, "request head too large"),
+                        close=True,
+                    )
+                    break
+                lines = head[:-4].split(b"\r\n")
+                request_line = lines[0]
+                headers: dict[str, str] = {}
+                for line in lines[1:]:
+                    name, _, value = line.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
                 try:
                     method, target, _ = (
                         request_line.decode("latin-1").split(" ", 2)
@@ -525,17 +508,15 @@ class PrefetchServer:
                 else:
                     self._inflight += 1
                     try:
-                        if (
-                            params.SERVE_FAST_DISPATCH
-                            and params.FAULT_PLAN is None
-                            and self._fast_eligible(target)
+                        if params.FAULT_PLAN is None and self._fast_eligible(
+                            target
                         ):
-                            # Data-plane fast lane: these handlers are
-                            # synchronous, so the wait_for deadline could
-                            # never preempt them — skip the per-request
-                            # task + timer and dispatch inline.  A fault
-                            # plan re-enables the slow lane so injected
-                            # stalls still trip the deadline.
+                            # Data plane: these handlers are synchronous,
+                            # so a wait_for deadline could never preempt
+                            # them — dispatch inline, no per-request task
+                            # or timer.  An armed fault plan takes the
+                            # wait_for lane below so injected stalls
+                            # still trip the deadline.
                             status, content_type, payload = (
                                 self._dispatch_fast(method.upper(), target, body)
                             )
@@ -655,7 +636,7 @@ class PrefetchServer:
         return _error_body(404, f"unknown path {path!r}")
 
     def _fast_eligible(self, target: str) -> bool:
-        """Whether ``target`` may take the synchronous fast lane.
+        """Whether ``target`` is dispatched inline (:meth:`_dispatch_fast`).
 
         The ops plane never does; the multi-process workers additionally
         exclude ``/metrics`` (their cluster view needs an async pipe
@@ -669,10 +650,10 @@ class PrefetchServer:
         """Synchronous data-plane twin of :meth:`_dispatch`.
 
         Routes exactly the non-admin surface (``/admin/*`` never reaches
-        this — the connection loop sends it down the slow lane) with the
-        same handlers, counters and error responses; the only differences
-        are the fast target parser and the absence of the per-request
-        task.  Gated by :data:`repro.params.SERVE_FAST_DISPATCH`.
+        this — the connection loop sends it down the ``wait_for`` lane)
+        with the same handlers, counters and error responses; the only
+        differences are the fast target parser and the absence of the
+        per-request task.
         """
         path, query = _split_target(target)
         self.requests_total[path] = self.requests_total.get(path, 0) + 1
@@ -743,36 +724,18 @@ class PrefetchServer:
             client, threshold=threshold, limit=limit
         )
         self.predictions_total += len(predictions)
-        if params.SERVE_FAST_DISPATCH:
-            # Byte-identical fast assembly: the per-prediction fragments
-            # are memoised (compiled-table rows hand back the same
-            # Prediction tuples request after request), so the hot path
-            # skips the dict building and most of the json.dumps work.
-            body = (
-                '{"client":%s,"model_version":%d,"predictions":[%s]}'
-                % (
-                    json.dumps(client),
-                    version,
-                    ",".join(map(_prediction_fragment, predictions)),
-                )
-            ).encode()
-            return 200, _JSON, body
-        return _json_body(
-            200,
-            {
-                "client": client,
-                "model_version": version,
-                "predictions": [
-                    {
-                        "url": p.url,
-                        "probability": round(p.probability, 6),
-                        "order": p.order,
-                        "source": p.source,
-                    }
-                    for p in predictions
-                ],
-            },
-        )
+        # The per-prediction fragments are memoised (compiled-table rows
+        # hand back the same Prediction tuples request after request), so
+        # the body is a join of cached strings, not a json.dumps per call.
+        body = (
+            '{"client":%s,"model_version":%d,"predictions":[%s]}'
+            % (
+                json.dumps(client),
+                version,
+                ",".join(map(_prediction_fragment, predictions)),
+            )
+        ).encode()
+        return 200, _JSON, body
 
     def _degraded_reasons(self) -> list[str]:
         """Why the server is in a degraded (but live) state, if at all."""

@@ -18,9 +18,9 @@ On top of the columns sit batched twins of every hot trace loop: the
 successful-GET filter, the deterministic ``(timestamp, client, url)`` sort,
 the embedded-object fold, 30-minute sessionisation, popularity counting and
 day splitting — each a handful of NumPy passes producing **bit-identical**
-results to the per-record code (``tests/differential/test_columnar_replay``
-pins that equivalence).  :class:`repro.trace.dataset.Trace` dispatches to
-them when :data:`repro.params.COLUMNAR_TRACE` is on.
+results to the paper-literal reference functions
+(``tests/differential/test_columnar_replay`` pins that equivalence).
+:class:`repro.trace.dataset.Trace` runs every derivation through them.
 
 On-disk layout (little-endian), magic ``b"RPCT"``::
 

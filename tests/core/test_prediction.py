@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.node import TrieNode
-from repro.core.prediction import (
-    Prediction,
+from repro.core.prediction import Prediction
+
+from tests.oracle import (
     iter_suffix_matches,
     match_longest_suffix,
     predict_from_context,

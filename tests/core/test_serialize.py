@@ -68,10 +68,9 @@ class TestRoundTrip:
         clone = loads_model(dumps_model(model))
         assert isinstance(clone, PopularityBasedPPM)
         # Special links re-wired to the duplicated node, not a copy.
-        assert [n.url for n in clone.roots["A"].special_links] == ["A2"]
-        assert clone.roots["A"].special_links[0] is clone.lookup(
-            ("A", "B", "C", "A2")
-        )
+        root = clone.roots["A"]
+        assert [n.url for n in root.special_links] == ["A2"]
+        assert root.special_links[0] is root.child("B").child("C").child("A2")
         # Popularity grading reconstructed.
         assert clone.popularity.grade("A") == 3
         assert clone.predict(["A"], mark_used=False) == model.predict(

@@ -15,9 +15,14 @@ independently-implemented paths:
    (``model_from_buffer(model_to_buffer(model))``), the representation the
    multi-process workers serve from.
 
-A node-forest twin of the model (``compact=False``) is replayed as a fifth
-oracle.  This suite replays hundreds of seeded synthetic sessions through
-all paths and asserts prediction-for-prediction equality.  On divergence a
+The literal Fig. 1 node forest of ``tests/oracle.py``, built from the same
+sessions and predicting by node longest-match, is replayed as a fifth
+path: the reference the other four must match.  Every path runs at two
+thresholds: the default, which the compiled prediction table answers
+(``compiled``), and one the table was not compiled at, which the
+uncompiled store walk answers (``uncompiled``).  This suite replays
+hundreds of seeded synthetic sessions through all paths and asserts
+prediction-for-prediction equality.  On divergence a
 greedy shrinking loop reduces the session to a minimal reproducer before
 failing, so the report names the shortest click sequence (and the first
 divergent click) instead of a 40-click haystack.
@@ -36,10 +41,14 @@ from repro.serve.state import ClientSessionTracker, ModelRef, trim_context
 from repro.synth import generate_trace
 from repro.trace.sessions import Session
 
+from tests.oracle import OracleModel
+
 SEED = 20260805
 MIN_SESSIONS = 100
 CONTEXT_LENGTH = params.DEFAULT_MAX_CONTEXT_LENGTH
 THRESHOLD = params.PREDICTION_PROBABILITY_THRESHOLD
+#: A threshold no compiled table covers, so predictions take the walk.
+UNCOVERED_THRESHOLD = 0.2
 
 
 def _as_tuples(predictions):
@@ -53,20 +62,20 @@ def _as_tuples(predictions):
 # ---------------------------------------------------------------------------
 
 
-def _replay_batch(model, urls):
+def _replay_batch(model, urls, threshold):
     """Path 1: stateless ``model.predict`` on the trimmed context."""
     out = []
     for i in range(len(urls)):
         context = trim_context(urls[: i + 1], CONTEXT_LENGTH)
         out.append(
             _as_tuples(
-                model.predict(context, threshold=THRESHOLD, mark_used=False)
+                model.predict(context, threshold=threshold, mark_used=False)
             )
         )
     return out
 
 
-def _replay_cursor(model, urls):
+def _replay_cursor(model, urls, threshold):
     """Path 2: the simulator's incremental prediction cursor."""
     cursor = model.prediction_cursor(CONTEXT_LENGTH)
     out = []
@@ -75,14 +84,14 @@ def _replay_cursor(model, urls):
         out.append(
             _as_tuples(
                 model.predict_cursor(
-                    cursor, threshold=THRESHOLD, mark_used=False
+                    cursor, threshold=threshold, mark_used=False
                 )
             )
         )
     return out
 
 
-def _replay_tracker(model, urls, client="differential"):
+def _replay_tracker(model, urls, threshold, client="differential"):
     """Path 3: the serving layer's per-client session tracker."""
     tracker = ClientSessionTracker(
         ModelRef(model),
@@ -92,7 +101,7 @@ def _replay_tracker(model, urls, client="differential"):
     out = []
     for ts, url in enumerate(urls):
         tracker.observe(client, url, float(ts))
-        predictions, _version = tracker.predict(client, threshold=THRESHOLD)
+        predictions, _version = tracker.predict(client, threshold=threshold)
         out.append(_as_tuples(predictions))
     return out
 
@@ -100,30 +109,30 @@ def _replay_tracker(model, urls, client="differential"):
 PATH_NAMES = ("batch", "cursor", "tracker", "buffer", "node-forest")
 
 
-def _replay_all(models, urls):
+def _replay_all(models, urls, threshold):
     """Replay ``urls`` through every path; returns {path_name: per-click}."""
     return {
-        "batch": _replay_batch(models["compact"], urls),
-        "cursor": _replay_cursor(models["compact"], urls),
-        "tracker": _replay_tracker(models["compact"], urls),
-        "buffer": _replay_batch(models["buffer"], urls),
-        "node-forest": _replay_batch(models["forest"], urls),
+        "batch": _replay_batch(models["compact"], urls, threshold),
+        "cursor": _replay_cursor(models["compact"], urls, threshold),
+        "tracker": _replay_tracker(models["compact"], urls, threshold),
+        "buffer": _replay_batch(models["buffer"], urls, threshold),
+        "node-forest": _replay_batch(models["forest"], urls, threshold),
     }
 
 
-def _first_divergence(models, urls):
+def _first_divergence(models, urls, threshold=THRESHOLD):
     """First (click_index, path_a, path_b, preds_a, preds_b) or ``None``."""
-    replays = _replay_all(models, urls)
-    reference_name = PATH_NAMES[0]
+    replays = _replay_all(models, urls, threshold)
+    reference_name = PATH_NAMES[-1]
     reference = replays[reference_name]
-    for name in PATH_NAMES[1:]:
+    for name in PATH_NAMES[:-1]:
         for i, (want, got) in enumerate(zip(reference, replays[name])):
             if want != got:
                 return (i, reference_name, name, want, got)
     return None
 
 
-def _shrink(models, urls):
+def _shrink(models, urls, threshold=THRESHOLD):
     """Greedy delta debugging: drop clicks while the divergence survives."""
     urls = list(urls)
     shrunk = True
@@ -131,18 +140,23 @@ def _shrink(models, urls):
         shrunk = False
         for i in range(len(urls)):
             candidate = urls[:i] + urls[i + 1 :]
-            if _first_divergence(models, candidate) is not None:
+            if _first_divergence(models, candidate, threshold) is not None:
                 urls = candidate
                 shrunk = True
                 break
     return urls
 
 
-def _report_divergence(models, session: Session, index: int) -> str:
-    minimal = _shrink(models, session.urls)
-    click, name_a, name_b, want, got = _first_divergence(models, minimal)
+def _report_divergence(
+    models, session: Session, index: int, threshold: float
+) -> str:
+    minimal = _shrink(models, session.urls, threshold)
+    click, name_a, name_b, want, got = _first_divergence(
+        models, minimal, threshold
+    )
     return (
-        f"prediction paths diverged on session #{index} "
+        f"prediction paths diverged on session #{index} at threshold "
+        f"{threshold} "
         f"(client={session.client!r}, {len(session.urls)} clicks)\n"
         f"minimal divergent session ({len(minimal)} clicks): {minimal}\n"
         f"first divergent click: index {click} ({minimal[click]!r})\n"
@@ -164,28 +178,23 @@ def corpus():
 
 @pytest.fixture(
     scope="module",
-    params=(True, False),
+    params=(THRESHOLD, UNCOVERED_THRESHOLD),
     ids=("compiled", "uncompiled"),
     autouse=True,
 )
-def compiled_predict(request):
-    """Run the whole agreement suite with the compiled prediction table
-    both on and off: the flag changes dispatch at predict time, so it must
-    be live while the replays run, not just while models fit."""
-    previous = params.COMPILED_PREDICT
-    params.COMPILED_PREDICT = request.param
-    try:
-        yield request.param
-    finally:
-        params.COMPILED_PREDICT = previous
+def threshold(request):
+    """Run the whole agreement suite through the compiled prediction table
+    (the threshold it was compiled at) and through the uncompiled store
+    walk (a threshold it was not)."""
+    return request.param
 
 
 @pytest.fixture(scope="module")
-def models(corpus, compiled_predict):
+def models(corpus):
     train = corpus.train_sessions
     popularity = PopularityTable.from_sessions(train)
     compact = PopularityBasedPPM(popularity).fit(train)
-    forest = PopularityBasedPPM(popularity, compact=False).fit(train)
+    forest = OracleModel(PopularityBasedPPM(popularity), train)
     buffer_twin = model_from_buffer(model_to_buffer(compact))
     return {"compact": compact, "forest": forest, "buffer": buffer_twin}
 
@@ -199,34 +208,38 @@ class TestAllPathsAgree:
     def test_corpus_is_large_enough(self, corpus):
         assert len(corpus.test_sessions) >= MIN_SESSIONS
 
-    def test_every_session_agrees_across_all_paths(self, corpus, models):
+    def test_every_session_agrees_across_all_paths(
+        self, corpus, models, threshold
+    ):
+        compiled = models["compact"]._compiled_table()
+        assert compiled.covers(threshold) == (threshold == THRESHOLD)
         checked = 0
         for index, session in enumerate(corpus.test_sessions):
-            divergence = _first_divergence(models, session.urls)
+            divergence = _first_divergence(models, session.urls, threshold)
             if divergence is not None:
-                pytest.fail(_report_divergence(models, session, index))
+                pytest.fail(_report_divergence(models, session, index, threshold))
             checked += 1
         assert checked >= MIN_SESSIONS
 
-    def test_standard_ppm_paths_agree_too(self, corpus):
+    def test_standard_ppm_paths_agree_too(self, corpus, threshold):
         """The guarantee is model-independent: StandardPPM as well."""
         train = corpus.train_sessions
         compact = StandardPPM().fit(train)
         models = {
             "compact": compact,
-            "forest": StandardPPM(compact=False).fit(train),
+            "forest": OracleModel(StandardPPM(), train),
             "buffer": model_from_buffer(model_to_buffer(compact)),
         }
         for index, session in enumerate(corpus.test_sessions[:MIN_SESSIONS]):
-            divergence = _first_divergence(models, session.urls)
+            divergence = _first_divergence(models, session.urls, threshold)
             if divergence is not None:
-                pytest.fail(_report_divergence(models, session, index))
+                pytest.fail(_report_divergence(models, session, index, threshold))
 
 
 class TestShrinker:
     """The shrinking loop itself must be trustworthy."""
 
-    def test_shrink_finds_minimal_counterexample(self, models):
+    def test_shrink_finds_minimal_counterexample(self, models, threshold):
         """Against a deliberately broken twin, the shrinker converges on a
         1-click session — the smallest input that can still diverge."""
 
@@ -251,14 +264,14 @@ class TestShrinker:
         urls = None
         for head in list(real.roots)[:50]:
             candidate = (head,)
-            if real.predict(candidate, threshold=THRESHOLD, mark_used=False):
+            if real.predict(candidate, threshold=threshold, mark_used=False):
                 urls = ("padding-click",) + candidate + ("padding-click",)
                 break
         assert urls is not None, "fixture model never predicts anything"
-        assert _first_divergence(broken, urls) is not None
-        minimal = _shrink(broken, urls)
+        assert _first_divergence(broken, urls, threshold) is not None
+        minimal = _shrink(broken, urls, threshold)
         assert len(minimal) == 1
-        assert _first_divergence(broken, minimal) is not None
+        assert _first_divergence(broken, minimal, threshold) is not None
 
-    def test_no_divergence_reports_none(self, models):
-        assert _first_divergence(models, ("A", "B", "C")) is None
+    def test_no_divergence_reports_none(self, models, threshold):
+        assert _first_divergence(models, ("A", "B", "C"), threshold) is None

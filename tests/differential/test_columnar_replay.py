@@ -1,15 +1,15 @@
-"""Differential testing: the columnar trace plane vs the object pipeline.
+"""Differential testing: the columnar trace plane vs the object reference.
 
-``params.COLUMNAR_TRACE`` selects between two independent implementations
-of the whole trace-derivation pipeline:
+Two independent implementations of the whole trace-derivation pipeline:
 
 1. **object** — ``sort_records`` / ``fold_embedded_objects`` /
    ``sessionize`` over :class:`~repro.trace.record.LogRecord` objects, the
-   original reference path;
-2. **columnar** — :class:`~repro.trace.columnar.TracePlane` running the
-   same derivations as batched numpy passes over interned ID arrays, with
-   the simulator replaying a :class:`~repro.trace.columnar.RequestBatch`
-   instead of request objects.
+   paper-literal reference (:class:`tests.oracle.ReferenceTrace`);
+2. **columnar** — :class:`~repro.trace.dataset.Trace` and its
+   :class:`~repro.trace.columnar.TracePlane`, running the same derivations
+   as batched numpy passes over interned ID arrays, with the simulator
+   replaying a :class:`~repro.trace.columnar.RequestBatch` instead of
+   request objects.
 
 The contract is bit-identity: sessionisation, popularity counts, the
 fitted model structure and every simulator metric must be **exactly
@@ -30,7 +30,6 @@ import random
 
 import pytest
 
-from repro import params
 from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
 from repro.core.serialize import dumps_model
@@ -44,6 +43,7 @@ from repro.synth.generator import TraceGenerator
 from repro.trace.dataset import Trace
 from repro.trace.record import LogRecord
 
+from tests.oracle import ReferenceTrace
 from tests.parallel.test_equivalence import assert_results_identical
 
 SEED = 20260808
@@ -92,15 +92,8 @@ def _chaoticize(records: list[LogRecord], seed: int) -> list[LogRecord]:
     return mixed
 
 
-def _build_trace(records, *, columnar: bool) -> Trace:
-    previous = params.COLUMNAR_TRACE
-    params.COLUMNAR_TRACE = columnar
-    try:
-        # The path is chosen once, inside Trace.__init__, so restoring the
-        # flag afterwards cannot flip later lazy derivations.
-        return Trace(list(records))
-    finally:
-        params.COLUMNAR_TRACE = previous
+def _build_trace(records, *, columnar: bool) -> "Trace | ReferenceTrace":
+    return Trace(list(records)) if columnar else ReferenceTrace(list(records))
 
 
 def _signature(records, *, columnar: bool) -> dict:

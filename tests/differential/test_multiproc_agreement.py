@@ -25,7 +25,6 @@ from tests.serve.conftest import ServeClient
 
 SEED = 977
 SESSIONS_TO_REPLAY = 20
-THRESHOLD = params.PREDICTION_PROBABILITY_THRESHOLD
 
 
 @pytest.fixture(scope="module")
@@ -36,24 +35,20 @@ def corpus():
 
 @pytest.fixture(
     scope="module",
-    params=(True, False),
+    params=(params.PREDICTION_PROBABILITY_THRESHOLD, 0.2),
     ids=("compiled", "uncompiled"),
     autouse=True,
 )
-def compiled_predict(request):
-    """Both table states: with the flag on, the supervisor ships the
-    compiled table inside the shared segment and workers must never
-    compile; with it off, workers serve the uncompiled compact path."""
-    previous = params.COMPILED_PREDICT
-    params.COMPILED_PREDICT = request.param
-    try:
-        yield request.param
-    finally:
-        params.COMPILED_PREDICT = previous
+def threshold(request):
+    """Both prediction paths: at the default threshold workers answer from
+    the compiled table the supervisor ships inside the shared segment; at
+    a threshold it was not compiled at they take the uncompiled store
+    walk.  Neither may make a worker compile."""
+    return request.param
 
 
 @pytest.fixture(scope="module")
-def model(corpus, compiled_predict):
+def model(corpus):
     train = corpus.train_sessions
     return PopularityBasedPPM(PopularityTable.from_sessions(train)).fit(train)
 
@@ -73,13 +68,13 @@ def cluster(model):
         server.stop()
 
 
-def _expected(model, urls):
+def _expected(model, urls, threshold):
     """Per-click predictions from an in-process tracker over ``model``."""
     tracker = ClientSessionTracker(ModelRef(model), idle_timeout_s=1e12)
     out = []
     for ts, url in enumerate(urls):
         tracker.observe("x", url, float(ts))
-        predictions, _version = tracker.predict("x", threshold=THRESHOLD)
+        predictions, _version = tracker.predict("x", threshold=threshold)
         out.append(
             [
                 {
@@ -96,13 +91,13 @@ def _expected(model, urls):
 
 class TestMultiprocServingAgrees:
     def test_http_predictions_match_in_process_tracker(
-        self, corpus, model, cluster
+        self, corpus, model, cluster, threshold
     ):
         sessions = corpus.test_sessions[:SESSIONS_TO_REPLAY]
         assert len(sessions) >= SESSIONS_TO_REPLAY
         for index, session in enumerate(sessions):
-            expected = _expected(model, session.urls)
-            client_id = f"diff-{index}"
+            expected = _expected(model, session.urls, threshold)
+            client_id = f"diff-{index}-{threshold}"
             # One keep-alive connection per client: the session stays on
             # one worker, exactly like a real browser connection would.
             http = ServeClient(cluster.host, cluster.port)
@@ -110,9 +105,7 @@ class TestMultiprocServingAgrees:
                 for click, url in enumerate(session.urls):
                     status, _ = http.report(client_id, url, float(click))
                     assert status == 200
-                    status, body = http.predict(
-                        client_id, threshold=THRESHOLD
-                    )
+                    status, body = http.predict(client_id, threshold=threshold)
                     assert status == 200
                     assert body["predictions"] == expected[click], (
                         f"worker diverged from in-process tracker on "
@@ -136,8 +129,8 @@ class TestMultiprocServingAgrees:
     def test_workers_never_compile_prediction_tables(self, cluster):
         """The compiled table travels inside the shared-memory segment:
         after a full replay's worth of served predictions, the workers'
-        own compile counter must still read zero (runs in both flag
-        states — with the table off there is nothing to compile either).
+        own compile counter must still read zero — at the uncovered
+        threshold too, which the walk answers without compiling.
         """
         http = ServeClient(cluster.host, cluster.port)
         try:

@@ -6,9 +6,9 @@ points of the pipeline:
 (a) **columnar mask** — build the full columnar trace, then
     ``Trace.sampled`` slices the plane through a vectorised keep-mask
     over the interned client table;
-(b) **object filter** — build the full object-path trace, then
-    ``Trace.sampled`` filters the record tuple through
-    ``sampler.keeps``;
+(b) **object filter** — build the record-by-record reference trace
+    (:class:`tests.oracle.ReferenceTrace`), then filter its records
+    through ``sampler.keeps`` and re-derive;
 (c) **pre-filtered .rpt** — filter the raw record stream *before* any
     trace exists, write the survivors to a columnar file (the
     ``stream_to_columnar(sample=...)`` path the grid takes), and load
@@ -30,7 +30,6 @@ import tempfile
 
 import pytest
 
-from repro import params
 from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
 from repro.core.serialize import dumps_model
@@ -45,6 +44,7 @@ from repro.trace.dataset import Trace
 from repro.trace.record import LogRecord
 
 from tests.differential.test_columnar_replay import _chaoticize
+from tests.oracle import ReferenceTrace
 
 SEED = 20260808
 PROFILES = ("nasa-like", "ucb-like", "uniform-like")
@@ -68,24 +68,23 @@ def _records(profile: str, seed: int) -> list[LogRecord]:
     return generator.generate_records(DAYS)
 
 
-def _build_sampled(records, sampler: ClientSampler, path: str) -> Trace:
+def _build_sampled(
+    records, sampler: ClientSampler, path: str
+) -> "Trace | ReferenceTrace":
     """One sampled trace via the named construction path."""
-    previous = params.COLUMNAR_TRACE
-    params.COLUMNAR_TRACE = path != "object-filter"
-    try:
-        if path == "rpt-refilter":
-            handle, rpt = tempfile.mkstemp(suffix=".rpt")
-            os.close(handle)
-            try:
-                with ColumnarWriter(rpt) as writer:
-                    for record in sampler.sample_records(records):
-                        writer.append(record)
-                return Trace.from_columnar_file(rpt, use_mmap=False)
-            finally:
-                os.unlink(rpt)
-        return Trace(list(records)).sampled(sampler)
-    finally:
-        params.COLUMNAR_TRACE = previous
+    if path == "rpt-refilter":
+        handle, rpt = tempfile.mkstemp(suffix=".rpt")
+        os.close(handle)
+        try:
+            with ColumnarWriter(rpt) as writer:
+                for record in sampler.sample_records(records):
+                    writer.append(record)
+            return Trace.from_columnar_file(rpt, use_mmap=False)
+        finally:
+            os.unlink(rpt)
+    if path == "object-filter":
+        return ReferenceTrace(list(records)).sampled(sampler)
+    return Trace(list(records)).sampled(sampler)
 
 
 def _signature(records, sampler: ClientSampler, path: str) -> dict:

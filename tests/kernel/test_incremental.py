@@ -7,6 +7,7 @@ from repro.core.lrs import LRSPPM
 from repro.core.online import update_model
 from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
+from repro.core.serialize import dump_model, load_model
 from repro.core.standard import StandardPPM
 from repro.errors import NotFittedError
 
@@ -24,34 +25,32 @@ CLICK_STREAM = ["A", "B", "C", "A", "Z", "B", "C", "D", "A", "B"]
 
 
 def model_matrix():
+    """Fitted models, and the same models restored from their node document.
+
+    A ``-node`` model is ``load_model(dump_model(fitted))``: its store is
+    rebuilt from the JSON node forest (``CompactTrie.from_node_forest``),
+    so node numbering and child order differ from the bulk build.
+    """
     sessions = make_sessions(SEQUENCES)
     popularity = PopularityTable(FIGURE1_COUNTS)
+    fig1 = make_sessions([FIGURE1_SEQUENCE])
+
+    def pb():
+        return PopularityBasedPPM(
+            popularity,
+            grade_heights=(1, 2, 3, 4),
+            absolute_max_height=4,
+            prune_relative_probability=None,
+        ).fit(fig1)
+
     return [
-        ("standard-compact", StandardPPM(compact=True).fit(sessions)),
-        ("standard-node", StandardPPM(compact=False).fit(sessions)),
-        ("lrs-compact", LRSPPM(compact=True).fit(sessions)),
-        ("lrs-node", LRSPPM(compact=False).fit(sessions)),
-        ("markov1-compact", FirstOrderMarkov(compact=True).fit(sessions)),
-        (
-            "pb-compact",
-            PopularityBasedPPM(
-                popularity,
-                grade_heights=(1, 2, 3, 4),
-                absolute_max_height=4,
-                prune_relative_probability=None,
-                compact=True,
-            ).fit(make_sessions([FIGURE1_SEQUENCE])),
-        ),
-        (
-            "pb-node",
-            PopularityBasedPPM(
-                popularity,
-                grade_heights=(1, 2, 3, 4),
-                absolute_max_height=4,
-                prune_relative_probability=None,
-                compact=False,
-            ).fit(make_sessions([FIGURE1_SEQUENCE])),
-        ),
+        ("standard-compact", StandardPPM().fit(sessions)),
+        ("standard-node", load_model(dump_model(StandardPPM().fit(sessions)))),
+        ("lrs-compact", LRSPPM().fit(sessions)),
+        ("lrs-node", load_model(dump_model(LRSPPM().fit(sessions)))),
+        ("markov1-compact", FirstOrderMarkov().fit(sessions)),
+        ("pb-compact", pb()),
+        ("pb-node", load_model(dump_model(pb()))),
     ]
 
 
@@ -113,7 +112,7 @@ class TestCursorMatchesBatch:
 
 class TestInvalidation:
     def test_refit_resyncs_cursor(self):
-        model = StandardPPM(compact=True).fit(make_sessions(SEQUENCES))
+        model = StandardPPM().fit(make_sessions(SEQUENCES))
         cursor = model.prediction_cursor()
         cursor.advance("A")
         model.fit(make_sessions([("A", "X"), ("A", "X")]))
@@ -121,9 +120,11 @@ class TestInvalidation:
             cursor, threshold=0.0, mark_used=False
         ) == model.predict(["A"], threshold=0.0, mark_used=False)
 
-    @pytest.mark.parametrize("compact", [True, False])
-    def test_online_update_resyncs_cursor(self, compact):
-        model = StandardPPM(compact=compact).fit(make_sessions(SEQUENCES))
+    @pytest.mark.parametrize("restored", [True, False])
+    def test_online_update_resyncs_cursor(self, restored):
+        model = StandardPPM().fit(make_sessions(SEQUENCES))
+        if restored:
+            model = load_model(dump_model(model))
         cursor = model.prediction_cursor()
         for url in ("A", "B"):
             cursor.advance(url)
@@ -136,12 +137,11 @@ class TestInvalidation:
             for p in model.predict_cursor(cursor, threshold=0.0, mark_used=False)
         )
 
-    def test_materialisation_resyncs_cursor(self):
-        model = StandardPPM(compact=True).fit(make_sessions(SEQUENCES))
+    def test_pruning_resyncs_cursor(self):
+        model = StandardPPM().fit(make_sessions(SEQUENCES))
         cursor = model.prediction_cursor()
         cursor.advance("A")
-        _ = model.roots  # adopts the node representation
-        assert not model.is_compact
+        assert model.prune(cutoff=0.5) > 0
         assert model.predict_cursor(
             cursor, threshold=0.0, mark_used=False
         ) == model.predict(["A"], threshold=0.0, mark_used=False)

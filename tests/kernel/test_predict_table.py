@@ -27,6 +27,7 @@ from repro.kernel.prune import prune_compact_by_absolute_count
 from repro.kernel.symbols import SymbolTable
 
 from tests.helpers import make_sessions
+from tests.oracle import OracleModel
 
 THRESHOLD = params.PREDICTION_PROBABILITY_THRESHOLD
 
@@ -302,25 +303,22 @@ class TestBufferPlane:
             PredictTable.from_buffer(blob)
 
 
+DISPATCH_SEQUENCES = [
+    ("A", "B", "X"),
+    ("A", "B", "X"),
+    ("A", "B", "Y"),
+    ("A", "C"),
+    ("D", "E"),
+]
+
+
 class TestModelDispatch:
     @pytest.fixture()
     def fitted(self):
-        sessions = make_sessions(
-            [
-                ("A", "B", "X"),
-                ("A", "B", "X"),
-                ("A", "B", "Y"),
-                ("A", "C"),
-                ("D", "E"),
-            ]
+        sessions = make_sessions(DISPATCH_SEQUENCES)
+        return PopularityBasedPPM(PopularityTable.from_sessions(sessions)).fit(
+            sessions
         )
-        previous = params.COMPILED_PREDICT
-        params.COMPILED_PREDICT = True
-        try:
-            popularity = PopularityTable.from_sessions(sessions)
-            yield PopularityBasedPPM(popularity).fit(sessions)
-        finally:
-            params.COMPILED_PREDICT = previous
 
     def test_model_caches_one_table_per_store_state(self, fitted):
         before = predict_table_module.COMPILE_COUNT
@@ -348,15 +346,10 @@ class TestModelDispatch:
         fallback = fitted.predict(
             ("A",), threshold=odd_threshold, mark_used=False
         )
-        params_flag = params.COMPILED_PREDICT
-        params.COMPILED_PREDICT = False
-        try:
-            uncompiled = fitted.predict(
-                ("A",), threshold=odd_threshold, mark_used=False
-            )
-        finally:
-            params.COMPILED_PREDICT = params_flag
-        assert fallback == uncompiled
+        assert not fitted._compiled_table().covers(odd_threshold)
+        oracle = OracleModel(fitted, make_sessions(DISPATCH_SEQUENCES))
+        for threshold, got in ((THRESHOLD, via_table), (odd_threshold, fallback)):
+            assert got == oracle.predict(("A",), threshold=threshold, mark_used=False)
         assert {p.url for p in via_table} >= {p.url for p in fallback}
         # The off-threshold query must not have triggered a recompile.
         assert predict_table_module.COMPILE_COUNT == compiles + 1

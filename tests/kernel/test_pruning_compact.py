@@ -3,13 +3,14 @@
 import pytest
 
 from repro.core.node import TrieNode
-from repro.core.pruning import prune_by_absolute_count, prune_by_relative_probability
 from repro.kernel.compact import CompactTrie
 from repro.kernel.prune import (
     prune_compact_by_absolute_count,
     prune_compact_by_relative_probability,
 )
 from repro.kernel.symbols import SymbolTable
+
+from tests.oracle import prune_by_absolute_count, prune_by_relative_probability
 
 
 def weighted_paths() -> list[tuple[tuple[str, ...], int]]:

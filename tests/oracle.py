@@ -1,0 +1,672 @@
+"""The paper-literal reference every differential suite compares against.
+
+The library keeps one implementation per layer: models build straight
+into the array-backed :class:`~repro.kernel.compact.CompactTrie` (in bulk,
+through :mod:`repro.kernel.bulk`), prune it with :mod:`repro.kernel.prune`
+and predict through a compiled table or the compact walk.  This module
+keeps the other side of every equivalence claim, written as literally as
+the paper states it, over one :class:`~repro.core.node.TrieNode` object
+per URL:
+
+* the Fig. 1 builders — standard PPM (left; Markov-1 is its height-2
+  case), the Apriori level build of LRS-PPM and PB-PPM's four
+  construction rules (right);
+* the two space-optimisation passes of Section 3.4;
+* longest-match prediction (Section 4.1) and PB-PPM's merged multi-level
+  prediction plus special links;
+* :class:`ReferenceTrace`, the trace derivations of
+  :class:`~repro.trace.dataset.Trace` (filter, sort, embedded-object fold,
+  sessionisation, day split, per-URL and per-client tables) computed one
+  record at a time through the public reference functions
+  :func:`~repro.trace.record.sort_records`,
+  :func:`~repro.trace.embedding.fold_embedded_objects` and
+  :func:`~repro.trace.sessions.sessionize`.
+
+:class:`OracleModel` packages a forest and its predictor behind the slice
+of the model interface the suites call, so ``OracleModel(model,
+sessions)`` is the reference twin of any configured model.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable, Mapping, Sequence
+
+from repro import params
+from repro.core.extras import FirstOrderMarkov
+from repro.core.lrs import LRSPPM
+from repro.core.node import TrieNode
+from repro.core.pb import PopularityBasedPPM
+from repro.core.popularity import PopularityTable
+from repro.core.prediction import Prediction, clears_threshold
+from repro.core.standard import StandardPPM
+from repro.core.stats import node_count, path_utilization, reset_usage
+from repro.errors import TraceError
+from repro.trace.columnar import TraceColumns
+from repro.trace.dataset import SECONDS_PER_DAY, TrainTestSplit
+from repro.trace.embedding import fold_embedded_objects
+from repro.trace.record import LogRecord, Request, sort_records
+from repro.trace.sessions import Session, sessionize
+
+Forest = dict[str, TrieNode]
+
+
+def _sort_key(prediction: Prediction) -> tuple[float, str]:
+    return (-prediction.probability, prediction.url)
+
+
+# ---------------------------------------------------------------------------
+# Fig. 1 builders
+# ---------------------------------------------------------------------------
+
+
+def insert_path(roots: Forest, urls: Sequence[str], weight: int = 1) -> None:
+    """Insert a URL path from the root level, bumping counts by weight."""
+    if not urls:
+        return
+    root = roots.get(urls[0])
+    if root is None:
+        root = TrieNode(urls[0])
+        roots[urls[0]] = root
+    root.count += weight
+    node = root
+    for url in urls[1:]:
+        node = node.ensure_child(url)
+        node.count += weight
+
+
+def standard_forest(sessions, max_height: int | None = None) -> Forest:
+    """Fig. 1 left: a branch from every position, capped at ``max_height``."""
+    roots: Forest = {}
+    for session in sessions:
+        urls = session.urls
+        for start in range(len(urls)):
+            stop = len(urls) if max_height is None else start + max_height
+            insert_path(roots, urls[start:stop])
+    return roots
+
+
+def _prune_level(roots: Forest, level: int, min_repeats: int) -> bool:
+    """Drop infrequent children of every depth-``level`` node.
+
+    Returns True when at least one depth-``level+1`` node survives.
+    """
+    survivors = False
+
+    def visit(node: TrieNode, depth: int) -> None:
+        nonlocal survivors
+        if depth == level:
+            for url in list(node.children):
+                if node.children[url].count < min_repeats:
+                    del node.children[url]
+            if node.children:
+                survivors = True
+        else:
+            for child in node.children.values():
+                visit(child, depth + 1)
+
+    for root in roots.values():
+        visit(root, 1)
+    return survivors
+
+
+def lrs_forest(
+    sequences: Sequence[Sequence[str]],
+    *,
+    min_repeats: int = params.LRS_MIN_REPEATS,
+    max_length: int | None = None,
+) -> Forest:
+    """The Apriori level build of the frequent-subsequence trie.
+
+    Level 1 counts single URLs; level *k+1* counts the one-URL extensions
+    of frequent depth-*k* paths only.  Nodes that fail the repeat
+    threshold at their level are pruned before the next pass.
+    """
+    roots: Forest = {}
+    for seq in sequences:
+        for url in seq:
+            node = roots.get(url)
+            if node is None:
+                node = TrieNode(url)
+                roots[url] = node
+            node.count += 1
+    roots = {u: n for u, n in roots.items() if n.count >= min_repeats}
+
+    level = 1
+    while roots and (max_length is None or level < max_length):
+        extended = False
+        for seq in sequences:
+            for start in range(len(seq) - level):
+                node = roots.get(seq[start])
+                if node is None:
+                    continue
+                for offset in range(1, level):
+                    node = node.child(seq[start + offset])
+                    if node is None:
+                        break
+                if node is None:
+                    continue
+                child = node.ensure_child(seq[start + level])
+                child.count += 1
+                extended = True
+        if not extended:
+            break
+        if not _prune_level(roots, level, min_repeats):
+            break
+        level += 1
+    return roots
+
+
+def pb_root_positions(popularity: PopularityTable, urls: Sequence[str]) -> list[int]:
+    """Rule 4: positions opening a new root (start, or grade rises)."""
+    grade = popularity.grade
+    return [
+        i
+        for i in range(len(urls))
+        if i == 0 or grade(urls[i]) > grade(urls[i - 1])
+    ]
+
+
+def pb_insert_branch(
+    roots: Forest,
+    urls: Sequence[str],
+    popularity: PopularityTable,
+    grade_heights: Sequence[int],
+    absolute_max_height: int,
+) -> None:
+    """Insert one branch and wire its special links (rules 1-3)."""
+    head = urls[0]
+    height = min(grade_heights[popularity.grade(head)], absolute_max_height)
+    path = urls[:height]
+    root = roots.get(head)
+    if root is None:
+        root = TrieNode(head)
+        roots[head] = root
+    root.count += 1
+    node = root
+    head_grade = popularity.grade(head)
+    for depth, url in enumerate(path[1:], start=2):
+        node = node.ensure_child(url)
+        node.count += 1
+        if depth >= 3:  # not immediately following the head (rule 3)
+            grade = popularity.grade(url)
+            if grade > head_grade or grade == popularity.max_grade:
+                if node not in root.special_links:
+                    root.special_links.append(node)
+
+
+def pb_forest(
+    sessions,
+    popularity: PopularityTable,
+    *,
+    grade_heights: Sequence[int] = params.GRADE_HEIGHTS,
+    absolute_max_height: int = params.ABSOLUTE_MAX_HEIGHT,
+    prune_relative_probability: float | None = params.PRUNE_RELATIVE_PROBABILITY,
+    prune_absolute_count: int | None = None,
+) -> Forest:
+    """Fig. 1 right: PB-PPM's four rules, then the space optimisations."""
+    roots: Forest = {}
+    for session in sessions:
+        urls = session.urls
+        for position in pb_root_positions(popularity, urls):
+            pb_insert_branch(
+                roots, urls[position:], popularity, grade_heights, absolute_max_height
+            )
+    if prune_relative_probability is not None:
+        prune_by_relative_probability(roots, cutoff=prune_relative_probability)
+    if prune_absolute_count is not None:
+        prune_by_absolute_count(roots, max_count=prune_absolute_count)
+    return roots
+
+
+def forest_for(model, sessions) -> Forest:
+    """The literal forest a (possibly unfitted) model's configuration builds."""
+    sessions = list(sessions)
+    if isinstance(model, PopularityBasedPPM):
+        return pb_forest(
+            sessions,
+            model.popularity,
+            grade_heights=model.grade_heights,
+            absolute_max_height=model.absolute_max_height,
+            prune_relative_probability=model.prune_relative_probability,
+            prune_absolute_count=model.prune_absolute_count,
+        )
+    if isinstance(model, LRSPPM):
+        return lrs_forest(
+            [session.urls for session in sessions],
+            min_repeats=model.min_repeats,
+            max_length=model.max_length,
+        )
+    if isinstance(model, FirstOrderMarkov):
+        return standard_forest(sessions, max_height=2)
+    if isinstance(model, StandardPPM):
+        return standard_forest(sessions, model.max_height)
+    raise TypeError(f"no reference builder for {type(model).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# Section 3.4 space optimisations
+# ---------------------------------------------------------------------------
+
+
+def _collect_ids(node: TrieNode, into: set[int]) -> None:
+    for descendant in node.walk():
+        into.add(id(descendant))
+
+
+def _drop_dangling_special_links(roots: Forest, removed_ids: set[int]) -> None:
+    if not removed_ids:
+        return
+    for root in roots.values():
+        if root.special_links:
+            root.special_links = [
+                node for node in root.special_links if id(node) not in removed_ids
+            ]
+
+
+def prune_by_relative_probability(
+    roots: Forest, *, cutoff: float = params.PRUNE_RELATIVE_PROBABILITY
+) -> int:
+    """Remove non-root nodes with relative access probability below ``cutoff``.
+
+    Returns the number of nodes removed (subtrees count in full).  Roots
+    have no parent and are never touched by this pass.
+    """
+    if not 0.0 <= cutoff <= 1.0:
+        raise ValueError(f"cutoff must be within [0, 1]: {cutoff}")
+    removed_ids: set[int] = set()
+
+    def visit(node: TrieNode) -> None:
+        for url in list(node.children):
+            child = node.children[url]
+            probability = child.count / node.count if node.count else 0.0
+            if probability < cutoff:
+                _collect_ids(child, removed_ids)
+                del node.children[url]
+            else:
+                visit(child)
+
+    for root in roots.values():
+        visit(root)
+    _drop_dangling_special_links(roots, removed_ids)
+    return len(removed_ids)
+
+
+def prune_by_absolute_count(
+    roots: Forest, *, max_count: int = params.PRUNE_ABSOLUTE_COUNT
+) -> int:
+    """Remove every node accessed at most ``max_count`` times.
+
+    A root failing the test is removed with its whole branch set; interior
+    failures drop their subtree.
+    """
+    if max_count < 0:
+        raise ValueError(f"max_count must be >= 0: {max_count}")
+    removed_ids: set[int] = set()
+
+    def visit(node: TrieNode) -> None:
+        for url in list(node.children):
+            child = node.children[url]
+            if child.count <= max_count:
+                _collect_ids(child, removed_ids)
+                del node.children[url]
+            else:
+                visit(child)
+
+    for url in list(roots):
+        root = roots[url]
+        if root.count <= max_count:
+            _collect_ids(root, removed_ids)
+            del roots[url]
+        else:
+            visit(root)
+    _drop_dangling_special_links(roots, removed_ids)
+    return len(removed_ids)
+
+
+# ---------------------------------------------------------------------------
+# Section 4.1 longest-match prediction
+# ---------------------------------------------------------------------------
+
+
+def iter_suffix_matches(
+    roots: Mapping[str, TrieNode], context: Sequence[str]
+) -> list[tuple[TrieNode, int, list[TrieNode]]]:
+    """All full-suffix matches of ``context`` in the tree, longest first.
+
+    Each element is ``(matched_node, suffix_length, nodes_on_match_path)``.
+    """
+    matches: list[tuple[TrieNode, int, list[TrieNode]]] = []
+    for start in range(len(context)):
+        suffix = context[start:]
+        node = roots.get(suffix[0])
+        if node is None:
+            continue
+        path = [node]
+        matched = True
+        for url in suffix[1:]:
+            nxt = node.child(url)
+            if nxt is None:
+                matched = False
+                break
+            node = nxt
+            path.append(node)
+        if matched:
+            matches.append((node, len(suffix), path))
+    return matches
+
+
+def match_longest_suffix(
+    roots: Mapping[str, TrieNode], context: Sequence[str]
+) -> tuple[TrieNode | None, int, list[TrieNode]]:
+    """The deepest node reachable by a suffix of ``context`` (None if none)."""
+    matches = iter_suffix_matches(roots, context)
+    if not matches:
+        return None, 0, []
+    return matches[0]
+
+
+def predict_from_matches(
+    matches: Sequence[tuple[TrieNode, int, list[TrieNode]]],
+    *,
+    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
+    mark_used: bool = True,
+    escape: bool = False,
+) -> list[Prediction]:
+    """The longest match's qualifying children (escape: next shorter)."""
+    for node, order, path in matches:
+        if node.count == 0:
+            if escape:
+                continue
+            return []
+        predictions: list[Prediction] = []
+        marked: list[TrieNode] = []
+        for url in node.children:
+            child = node.children[url]
+            probability = child.count / node.count
+            if clears_threshold(probability, threshold):
+                predictions.append(
+                    Prediction(url=url, probability=probability, order=order)
+                )
+                marked.append(child)
+        if not predictions and escape:
+            continue
+        if mark_used and predictions:
+            for visited in path:
+                visited.used = True
+            for child in marked:
+                child.used = True
+        predictions.sort(key=_sort_key)
+        return predictions
+    return []
+
+
+def predict_from_context(
+    roots: Mapping[str, TrieNode],
+    context: Sequence[str],
+    *,
+    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
+    mark_used: bool = True,
+    escape: bool = False,
+) -> list[Prediction]:
+    """Longest-match prediction shared by the standard, LRS and Markov models."""
+    if not context:
+        return []
+    return predict_from_matches(
+        iter_suffix_matches(roots, context),
+        threshold=threshold,
+        mark_used=mark_used,
+        escape=escape,
+    )
+
+
+def predict_pb(
+    roots: Mapping[str, TrieNode],
+    context: Sequence[str],
+    *,
+    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
+    special_link_threshold: float = params.SPECIAL_LINK_THRESHOLD,
+    mark_used: bool = True,
+) -> list[Prediction]:
+    """PB-PPM: every matching level merged, plus the root's special links."""
+    if not context:
+        return []
+    predictions: dict[str, Prediction] = {}
+    for node, order, path in iter_suffix_matches(roots, context):
+        if node.count == 0:
+            continue
+        for url in sorted(node.children):
+            child = node.children[url]
+            probability = child.count / node.count
+            if clears_threshold(probability, threshold) and url not in predictions:
+                predictions[url] = Prediction(
+                    url=url, probability=probability, order=order
+                )
+                if mark_used:
+                    for visited in path:
+                        visited.used = True
+                    child.used = True
+    root = roots.get(context[-1])
+    if root is not None and root.count > 0 and root.special_links:
+        aggregated: dict[str, int] = {}
+        for linked in root.special_links:
+            aggregated[linked.url] = aggregated.get(linked.url, 0) + linked.count
+        fired: set[str] = set()
+        for url in sorted(aggregated):
+            probability = min(1.0, aggregated[url] / root.count)
+            if (
+                clears_threshold(probability, special_link_threshold)
+                and url not in predictions
+            ):
+                predictions[url] = Prediction(
+                    url=url, probability=probability, order=0, source="special_link"
+                )
+                fired.add(url)
+        if mark_used and fired:
+            root.used = True
+            for linked in root.special_links:
+                if linked.url in fired:
+                    linked.used = True
+    return sorted(predictions.values(), key=_sort_key)
+
+
+# ---------------------------------------------------------------------------
+# The reference model
+# ---------------------------------------------------------------------------
+
+
+def collect_used_paths(roots: Mapping[str, TrieNode]) -> list[tuple[str, ...]]:
+    """Root paths of every used node, roots and children in URL order."""
+    paths: list[tuple[str, ...]] = []
+    for url in sorted(roots):
+        stack: list[tuple[TrieNode, tuple[str, ...]]] = [(roots[url], (url,))]
+        while stack:
+            node, path = stack.pop()
+            if node.used:
+                paths.append(path)
+            for child_url in sorted(node.children, reverse=True):
+                stack.append((node.children[child_url], path + (child_url,)))
+    return paths
+
+
+def mark_used_paths(
+    roots: Mapping[str, TrieNode], paths: Sequence[tuple[str, ...]]
+) -> None:
+    """Set the used flag on the nodes named by root paths (missing: skip)."""
+    for path in paths:
+        node = roots.get(path[0]) if path else None
+        for url in path[1:]:
+            if node is None:
+                break
+            node = node.child(url)
+        if node is not None:
+            node.used = True
+
+
+class OracleModel:
+    """A literal node forest plus its predictor, shaped like a model.
+
+    ``model`` only supplies the configuration (class, heights, pruning,
+    thresholds); it need not be fitted.
+    """
+
+    def __init__(self, model, sessions) -> None:
+        self.roots = forest_for(model, sessions)
+        self.special_link_threshold = (
+            model.special_link_threshold
+            if isinstance(model, PopularityBasedPPM)
+            else None
+        )
+
+    def predict(
+        self,
+        context: Sequence[str],
+        *,
+        threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
+        mark_used: bool = True,
+        escape: bool = False,
+    ) -> list[Prediction]:
+        if self.special_link_threshold is not None:
+            return predict_pb(
+                self.roots,
+                context,
+                threshold=threshold,
+                special_link_threshold=self.special_link_threshold,
+                mark_used=mark_used,
+            )
+        return predict_from_context(
+            self.roots, context, threshold=threshold, mark_used=mark_used, escape=escape
+        )
+
+    @property
+    def node_count(self) -> int:
+        return node_count(self.roots)
+
+    def reset_usage(self) -> None:
+        reset_usage(self.roots)
+
+    def path_utilization(self) -> float:
+        return path_utilization(self.roots)
+
+    def collect_used_paths(self) -> list[tuple[str, ...]]:
+        return collect_used_paths(self.roots)
+
+    def mark_used_paths(self, paths: Sequence[tuple[str, ...]]) -> None:
+        mark_used_paths(self.roots, paths)
+
+
+# ---------------------------------------------------------------------------
+# The reference trace
+# ---------------------------------------------------------------------------
+
+
+class ReferenceTrace:
+    """:class:`~repro.trace.dataset.Trace`'s derivations, record by record.
+
+    Accepts what ``Trace`` accepts (record iterables or
+    :class:`~repro.trace.columnar.TraceColumns`) and exposes the same
+    derived views, each computed eagerly by the paper-literal reference
+    functions instead of the columnar plane.
+    """
+
+    def __init__(
+        self,
+        records: "Iterable[LogRecord] | TraceColumns",
+        *,
+        idle_timeout_seconds: float = params.SESSION_IDLE_TIMEOUT_S,
+        embed_window_seconds: float = params.EMBEDDED_OBJECT_WINDOW_S,
+    ) -> None:
+        if isinstance(records, TraceColumns):
+            records = records.iter_records()
+        self.records: tuple[LogRecord, ...] = tuple(
+            r for r in sort_records(records) if r.is_successful_get
+        )
+        if not self.records:
+            raise TraceError("trace contains no successful GET records")
+        self.idle_timeout_seconds = idle_timeout_seconds
+        self.embed_window_seconds = embed_window_seconds
+        self.requests: tuple[Request, ...] = tuple(
+            fold_embedded_objects(self.records, window_seconds=embed_window_seconds)
+        )
+        self.sessions: tuple[Session, ...] = tuple(
+            sessionize(self.requests, idle_timeout_seconds=idle_timeout_seconds)
+        )
+        first = self.records[0].timestamp
+        self.epoch = math.floor(first / SECONDS_PER_DAY) * SECONDS_PER_DAY
+
+    def day_of(self, timestamp: float) -> int:
+        return int((timestamp - self.epoch) // SECONDS_PER_DAY)
+
+    @property
+    def num_days(self) -> int:
+        return self.day_of(self.records[-1].timestamp) + 1
+
+    @property
+    def clients(self) -> frozenset[str]:
+        return frozenset(r.client for r in self.records)
+
+    def requests_for_days(self, days: Iterable[int]) -> tuple[Request, ...]:
+        wanted = frozenset(days)
+        return tuple(r for r in self.requests if self.day_of(r.timestamp) in wanted)
+
+    def sessions_for_days(self, days: Iterable[int]) -> tuple[Session, ...]:
+        """Sessions *starting* on any of the given days."""
+        wanted = frozenset(days)
+        return tuple(s for s in self.sessions if self.day_of(s.start_time) in wanted)
+
+    def split(self, train_days: int, *, test_days: int = 1) -> TrainTestSplit:
+        train = tuple(range(train_days))
+        test = tuple(range(train_days, train_days + test_days))
+        return TrainTestSplit(
+            train_days=train,
+            test_days=test,
+            train_sessions=self.sessions_for_days(train),
+            test_sessions=self.sessions_for_days(test),
+            train_requests=self.requests_for_days(train),
+            test_requests=self.requests_for_days(test),
+        )
+
+    def url_access_counts(self) -> dict[str, int]:
+        counts: dict[str, int] = {}
+        for request in self.requests:
+            counts[request.url] = counts.get(request.url, 0) + 1
+        return counts
+
+    def url_size_table(self) -> dict[str, int]:
+        """Largest observed page + embedded-object bytes per URL."""
+        sizes: dict[str, int] = {}
+        for request in self.requests:
+            total = request.total_bytes
+            if total > sizes.get(request.url, -1):
+                sizes[request.url] = total
+        return sizes
+
+    def requests_per_client_per_day(self) -> dict[str, float]:
+        per_client_days: dict[str, set[int]] = {}
+        per_client_count: dict[str, int] = {}
+        for record in self.records:
+            per_client_days.setdefault(record.client, set()).add(
+                self.day_of(record.timestamp)
+            )
+            per_client_count[record.client] = per_client_count.get(record.client, 0) + 1
+        return {
+            client: per_client_count[client] / len(per_client_days[client])
+            for client in per_client_count
+        }
+
+    def classify_clients(
+        self, *, proxy_requests_per_day: float = params.PROXY_REQUESTS_PER_DAY
+    ) -> dict[str, str]:
+        return {
+            client: "proxy" if rate > proxy_requests_per_day else "browser"
+            for client, rate in self.requests_per_client_per_day().items()
+        }
+
+    def sampled(self, sampler) -> "ReferenceTrace":
+        """The records of the clients ``sampler.keeps``, re-derived."""
+        kept = [r for r in self.records if sampler.keeps(r.client)]
+        return ReferenceTrace(
+            kept,
+            idle_timeout_seconds=self.idle_timeout_seconds,
+            embed_window_seconds=self.embed_window_seconds,
+        )

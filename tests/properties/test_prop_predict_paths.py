@@ -1,9 +1,10 @@
-"""Property-based agreement of the three prediction representations.
+"""Property-based agreement of both prediction paths with the oracle.
 
-For arbitrary small corpora and contexts, the node forest, the compact
-trie walk and the compiled prediction table must return *identical*
-prediction lists — URL for URL, probability for probability, in the same
-order.  Small URL alphabets make equal-count children (and therefore
+For arbitrary small corpora and contexts, the compiled prediction table
+(at the threshold it was compiled at), the uncompiled store walk (at a
+threshold the table does not cover) and the literal node forest of
+``tests/oracle.py`` must return *identical* prediction lists — URL for
+URL, probability for probability, in the same order.  Small URL alphabets make equal-count children (and therefore
 equal conditional probabilities) common, so these properties lean on the
 tie-break contract: candidates sort by ``(-probability, url)`` and the
 ordering must be deterministic and representation-independent.  A
@@ -22,8 +23,11 @@ from repro.core.popularity import PopularityTable
 from repro.core.standard import StandardPPM
 
 from tests.helpers import make_sessions
+from tests.oracle import OracleModel
 
 THRESHOLD = params.PREDICTION_PROBABILITY_THRESHOLD
+#: A threshold the compiled table does not cover: the store walk answers.
+UNCOVERED_THRESHOLD = 0.2
 
 urls = st.sampled_from(["a", "b", "c", "d"])
 sequences = st.lists(urls, min_size=1, max_size=8)
@@ -43,40 +47,31 @@ def _as_tuples(predictions):
     return [(p.url, p.probability, p.order, p.source) for p in predictions]
 
 
-def _three_way(model_factory, corpus, context):
-    """Predictions from (node forest, compact walk, compiled table)."""
+def _assert_matches_oracle(model_factory, corpus, context):
+    """Table (default threshold) and walk (uncovered one) equal the oracle."""
     sessions = make_sessions(corpus)
-    forest = model_factory(corpus, compact=False).fit(sessions)
-    previous = params.COMPILED_PREDICT
-    try:
-        params.COMPILED_PREDICT = False
-        compact = model_factory(corpus, compact=True).fit(sessions)
-        walked = compact.predict(
-            context, threshold=THRESHOLD, mark_used=False
-        )
-        params.COMPILED_PREDICT = True
-        compiled = compact.predict(
-            context, threshold=THRESHOLD, mark_used=False
-        )
-    finally:
-        params.COMPILED_PREDICT = previous
-    noded = forest.predict(context, threshold=THRESHOLD, mark_used=False)
-    return _as_tuples(noded), _as_tuples(walked), _as_tuples(compiled)
+    model = model_factory(corpus).fit(sessions)
+    oracle = OracleModel(model_factory(corpus), sessions)
+    table = model._compiled_table()
+    assert table.covers(THRESHOLD) and not table.covers(UNCOVERED_THRESHOLD)
+    for threshold in (THRESHOLD, UNCOVERED_THRESHOLD):
+        got = model.predict(context, threshold=threshold, mark_used=False)
+        want = oracle.predict(context, threshold=threshold, mark_used=False)
+        assert _as_tuples(got) == _as_tuples(want), threshold
 
 
-def _pb_factory(corpus, compact):
-    return PopularityBasedPPM(popularity_for(corpus), compact=compact)
+def _pb_factory(corpus):
+    return PopularityBasedPPM(popularity_for(corpus))
 
 
-def _standard_factory(corpus, compact):
-    return StandardPPM(compact=compact)
+def _standard_factory(corpus):
+    return StandardPPM()
 
 
 @settings(max_examples=60, deadline=None)
 @given(corpus=corpora, context=contexts)
 def test_pb_tie_breaks_identical_across_representations(corpus, context):
-    noded, walked, compiled = _three_way(_pb_factory, corpus, context)
-    assert noded == walked == compiled
+    _assert_matches_oracle(_pb_factory, corpus, context)
 
 
 @settings(max_examples=60, deadline=None)
@@ -84,8 +79,7 @@ def test_pb_tie_breaks_identical_across_representations(corpus, context):
 def test_standard_tie_breaks_identical_across_representations(
     corpus, context
 ):
-    noded, walked, compiled = _three_way(_standard_factory, corpus, context)
-    assert noded == walked == compiled
+    _assert_matches_oracle(_standard_factory, corpus, context)
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,7 +89,7 @@ def test_ordering_is_deterministic_and_sorted(corpus, context):
     lexicographically, never by insertion or node order — and repeating
     the call changes nothing."""
     sessions = make_sessions(corpus)
-    model = _pb_factory(corpus, compact=True).fit(sessions)
+    model = _pb_factory(corpus).fit(sessions)
     first = _as_tuples(
         model.predict(context, threshold=THRESHOLD, mark_used=False)
     )

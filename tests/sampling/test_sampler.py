@@ -8,15 +8,16 @@ import os
 
 import pytest
 
-from repro import params
 from repro.cli import main
 from repro.errors import SamplingError, TraceError, WorkloadError
 from repro.sampling import HASH_SPAN, SUPPORTED_RATES, ClientSampler, client_hash
 from repro.synth.generator import TraceGenerator, generate_trace
-from repro.trace.columnar import ColumnarWriter, TraceColumns
+from repro.trace.columnar import ColumnarWriter, RequestBatch, TraceColumns
 from repro.trace.dataset import Trace
 from repro.workloads import create_workload, stream_to_columnar
 from repro.workloads.grid import DEFAULT_GRID, validate_grid_spec
+
+from tests.oracle import ReferenceTrace
 
 
 class TestValidation:
@@ -70,13 +71,7 @@ class TestTraceSampled:
     def test_columnar_and_object_paths_select_same_clients(self, trace):
         sampler = ClientSampler(0.3, salt=7)
         sampled = trace.sampled(sampler)
-        previous = params.COLUMNAR_TRACE
-        params.COLUMNAR_TRACE = False
-        try:
-            object_trace = Trace(list(trace.records))
-            object_sampled = object_trace.sampled(sampler)
-        finally:
-            params.COLUMNAR_TRACE = previous
+        object_sampled = ReferenceTrace(trace.records).sampled(sampler)
         assert sampled.clients == object_sampled.clients
         assert sampled.clients == sampler.sampled_clients(trace.clients)
         assert [r.url for r in sampled.requests] == [
@@ -96,16 +91,12 @@ class TestTraceSampled:
     def test_request_batch_after_matches_object_filter(self, trace):
         cut = trace.requests[len(trace.requests) // 2].timestamp
         batch = trace.request_batch_after(cut)
-        expected = [r for r in trace.requests if r.timestamp > cut]
+        reference = ReferenceTrace(trace.records)
+        expected = [r for r in reference.requests if r.timestamp > cut]
         assert len(batch) == len(expected)
-        previous = params.COLUMNAR_TRACE
-        params.COLUMNAR_TRACE = False
-        try:
-            object_trace = Trace(list(trace.records))
-            object_batch = object_trace.request_batch_after(cut)
-        finally:
-            params.COLUMNAR_TRACE = previous
-        assert len(object_batch) == len(expected)
+        assert list(batch.iter_rows()) == list(
+            RequestBatch.from_requests(expected).iter_rows()
+        )
 
 
 class TestBridgeSampling:

@@ -6,7 +6,10 @@ import os
 
 import pytest
 
+from repro import params
+from repro.core.serialize import dump_model, load_model
 from repro.errors import ModelError
+from repro.experiments.lab import WorkloadLab
 from repro.resilience import FaultPlan, injected
 from repro.serve.snapshot import (
     SnapshotManager,
@@ -20,6 +23,46 @@ from repro.serve.wal import ReportJournal, list_segments, read_journal
 
 from tests.helpers import make_sessions
 from tests.serve.conftest import SWAPPED, fitted_model
+
+
+class TestRestoredModelsPredictThroughTheTable:
+    """A model restored from its JSON document — by ``load_model`` or by a
+    server's boot-time ``restore_snapshot_state`` — answers through a
+    compiled prediction table, prediction for prediction like the fitted
+    model, from its first request on."""
+
+    @pytest.fixture(scope="class")
+    def fitted(self):
+        lab = WorkloadLab("nasa-like", total_days=3, seed=7, scale=0.1)
+        return lab.model("pb", 2), lab.split(2).test_sessions
+
+    @staticmethod
+    def _replay(model, sessions):
+        predictions = []
+        for session in sessions:
+            cursor = model.prediction_cursor()
+            for url in session.urls:
+                cursor.advance(url)
+                predictions.append(model.predict_cursor(cursor, mark_used=False))
+        return predictions
+
+    def _assert_restored_like(self, restored, fitted):
+        model, sessions = fitted
+        assert restored._table_for(params.PREDICTION_PROBABILITY_THRESHOLD)
+        replayed = self._replay(restored, sessions)
+        assert any(replayed)
+        assert replayed == self._replay(model, sessions)
+
+    def test_load_model(self, fitted):
+        model, _sessions = fitted
+        self._assert_restored_like(load_model(dump_model(model)), fitted)
+
+    def test_restore_snapshot_state(self, fitted, tmp_path):
+        model, _sessions = fitted
+        path = str(tmp_path / "model.json")
+        write_snapshot(model, path)
+        restored, _boundary = restore_snapshot_state(path)
+        self._assert_restored_like(restored, fitted)
 
 
 class TestWriteLoadRoundTrip:

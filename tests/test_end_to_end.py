@@ -17,15 +17,16 @@ from repro import (
     SimulationConfig,
     Trace,
     generate_trace,
-    params,
 )
 from repro.core.serialize import loads_model, dumps_model
 from repro.synth.generator import TraceGenerator
-from repro.trace.clf_parser import write_clf_file
+from repro.trace.clf_parser import iter_clf_file, write_clf_file
 from repro.trace.columnar import (
     convert_clf_to_columnar,
     convert_columnar_to_clf,
 )
+
+from tests.oracle import ReferenceTrace
 
 
 @pytest.fixture(
@@ -34,20 +35,18 @@ from repro.trace.columnar import (
 def clf_round_trip(request, tmp_path_factory):
     """A generated trace written to CLF and reloaded from disk.
 
-    Parametrised on ``params.COLUMNAR_TRACE``: the reloaded trace must
-    behave identically whichever pipeline derives its views.
+    Reloaded twice: as a :class:`Trace` (columnar plane) and as the
+    record-by-record :class:`tests.oracle.ReferenceTrace`; the reloaded
+    trace must behave identically whichever pipeline derives its views.
     """
     generator = TraceGenerator("nasa-like", seed=13, scale=0.1)
     records = generator.generate_records(2)
     path = tmp_path_factory.mktemp("logs") / "access.log"
     with open(path, "w", encoding="ascii") as handle:
         write_clf_file(records, handle)
-    previous = params.COLUMNAR_TRACE
-    params.COLUMNAR_TRACE = request.param
-    try:
+    if request.param:
         return records, Trace.from_clf_file(str(path))
-    finally:
-        params.COLUMNAR_TRACE = previous
+    return records, ReferenceTrace(iter_clf_file(str(path)))
 
 
 class TestClfRoundTrip:

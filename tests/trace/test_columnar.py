@@ -15,7 +15,6 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import params
 from repro.errors import ModelError, TraceError
 from repro.sim.engine import request_sort_key
 from repro.synth.generator import TraceGenerator
@@ -24,6 +23,7 @@ from repro.trace.columnar import (
     ColumnarWriter,
     RequestBatch,
     TraceColumns,
+    convert_clf_to_columnar,
 )
 from repro.trace.dataset import Trace
 from repro.trace.record import LogRecord
@@ -34,16 +34,6 @@ def records():
     return TraceGenerator("nasa-like", seed=21, scale=0.05).generate_records(2)
 
 
-@pytest.fixture
-def flag(request, monkeypatch):
-    """Set ``params.COLUMNAR_TRACE`` for one test."""
-
-    def _set(value: bool) -> None:
-        monkeypatch.setattr(params, "COLUMNAR_TRACE", value)
-
-    return _set
-
-
 # ---------------------------------------------------------------------------
 # Single-pass parsing + caching regressions
 # ---------------------------------------------------------------------------
@@ -52,13 +42,14 @@ def flag(request, monkeypatch):
 class TestSinglePassParsing:
     @pytest.mark.parametrize("columnar", (True, False), ids=("columnar", "object"))
     def test_log_file_is_opened_exactly_once(
-        self, records, tmp_path, monkeypatch, flag, columnar
+        self, records, tmp_path, monkeypatch, columnar
     ):
-        """Repeated split/day accesses must never re-read the log."""
+        """Repeated split/day accesses must never re-read the log, whether
+        the trace streams its records (``object``) or loads them from the
+        log's columnar conversion (``columnar``)."""
         path = tmp_path / "access.log"
         with open(path, "w", encoding="ascii") as handle:
             write_clf_file(records, handle)
-        flag(columnar)
         opens = []
         real_open = builtins.open
 
@@ -68,7 +59,12 @@ class TestSinglePassParsing:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", counting_open)
-        trace = Trace.from_clf_file(str(path))
+        if columnar:
+            rpt = tmp_path / "access.rpt"
+            convert_clf_to_columnar(str(path), str(rpt))
+            trace = Trace.from_columnar_file(str(rpt))
+        else:
+            trace = Trace.from_clf_file(str(path))
         trace.split(1)
         trace.split(1)
         trace.requests_for_days((0,))
@@ -79,9 +75,9 @@ class TestSinglePassParsing:
         assert trace.parse_stats.parsed == len(records)
 
     @pytest.mark.parametrize("columnar", (True, False), ids=("columnar", "object"))
-    def test_splits_and_day_slices_are_cached(self, records, flag, columnar):
-        flag(columnar)
-        trace = Trace(list(records))
+    def test_splits_and_day_slices_are_cached(self, records, columnar):
+        source = TraceColumns.from_records(records) if columnar else list(records)
+        trace = Trace(source)
         assert trace.split(1) is trace.split(1)
         assert trace.requests_for_days((0,)) is trace.requests_for_days((0,))
         assert trace.sessions_for_days((0,)) is trace.sessions_for_days((0,))
@@ -165,12 +161,7 @@ class TestColumnarWriter:
 class TestRequestBatch:
     @pytest.fixture(scope="class")
     def trace(self, records):
-        previous = params.COLUMNAR_TRACE
-        params.COLUMNAR_TRACE = True
-        try:
-            return Trace(list(records))
-        finally:
-            params.COLUMNAR_TRACE = previous
+        return Trace(list(records))
 
     def test_matches_sorted_request_objects(self, trace):
         batch = trace.request_batch_for_days((1,))
@@ -233,12 +224,11 @@ class TestMmapLifecycle:
 
 
 class TestGuardRails:
-    def test_empty_trace_raises_on_both_paths(self, flag):
+    def test_empty_trace_raises_on_both_paths(self):
         noise = [LogRecord(client="c", timestamp=1.0, url="/x", size=1, status=404)]
-        for columnar in (True, False):
-            flag(columnar)
+        for source in (list(noise), TraceColumns.from_records(noise)):
             with pytest.raises(TraceError, match="no successful GET"):
-                Trace(list(noise))
+                Trace(source)
 
     def test_cli_convert_and_summarize_round_trip(
         self, records, tmp_path, capsys
