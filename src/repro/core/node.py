@@ -27,8 +27,8 @@ class TrieNode:
         Only populated on PB-PPM *root* nodes: links to duplicated popular
         nodes deeper in the root's branch (paper Section 3.4, rule 3).
     used:
-        Set by the prediction engine when the node participates in a
-        prediction; drives the path-utilisation metric of Figure 2.
+        Whether the node took part in a prediction (the store's usage
+        flag); drives the path-utilisation metric of Figure 2.
     """
 
     __slots__ = ("url", "count", "children", "special_links", "used")

@@ -3,8 +3,12 @@
 The paper's space metric is the number of stored URL nodes; its
 path-utilisation metric defines a *path* as "a URL sequence from the root
 to an ending leaf" and marks a path useful once it has been used for a
-prediction.  The prediction engine sets :attr:`TrieNode.used` on every node
-it touches; a root-to-leaf path counts as used when its leaf was reached.
+prediction.  The prediction engine sets the usage flag of every node it
+touches (exported as :attr:`TrieNode.used`); a root-to-leaf path counts as
+used when its leaf was reached.  These functions read an exported forest
+(:meth:`repro.core.base.PPMModel.to_node_forest`); models answer the same
+questions from their store directly (``node_count``,
+``path_utilization``).
 """
 
 from __future__ import annotations
