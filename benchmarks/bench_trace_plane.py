@@ -98,7 +98,9 @@ def corpus(tmp_path_factory):
     # Re-derive the benchmarked .rpt *from the CLF file*: CLF carries
     # 1-second timestamps, so this is the only way both probes replay the
     # byte-identical record stream (and it is the real conversion workflow).
+    start = time.perf_counter()
     convert_clf_to_columnar(str(log), str(rpt))
+    parse_seconds = time.perf_counter() - start
     generated.unlink()
     return {
         "rpt": rpt,
@@ -106,6 +108,7 @@ def corpus(tmp_path_factory):
         "events": events,
         "generate_seconds": generate_seconds,
         "clf_seconds": clf_seconds,
+        "parse_seconds": parse_seconds,
     }
 
 
@@ -155,12 +158,16 @@ def test_trace_replay_speedup_and_flat_memory(corpus):
 
 
 def test_streaming_writer_throughput(corpus):
-    """Informational: synth-to-columnar write rate and CLF expansion."""
+    """Informational: synth-to-columnar write rate, CLF-to-columnar parse
+    rate (``read_clf_columns``) and CLF expansion."""
     events = corpus["events"]
     payload = {
         "events": events,
         "write_events_per_second": round(
             events / corpus["generate_seconds"], 1
+        ),
+        "clf_parse_events_per_second": round(
+            events / corpus["parse_seconds"], 1
         ),
         "clf_bytes_per_event": round(
             corpus["log"].stat().st_size / events, 1
@@ -172,7 +179,8 @@ def test_streaming_writer_throughput(corpus):
     _update_bench_json("write", payload)
     print(
         f"streamed {events} events at "
-        f"{payload['write_events_per_second']:.0f}/s; "
+        f"{payload['write_events_per_second']:.0f}/s, parsed CLF at "
+        f"{payload['clf_parse_events_per_second']:.0f}/s; "
         f"{payload['columnar_bytes_per_event']}B/event columnar vs "
         f"{payload['clf_bytes_per_event']}B/event CLF"
     )

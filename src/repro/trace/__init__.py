@@ -31,6 +31,7 @@ from repro.trace.clf_parser import (
     parse_clf_file,
     parse_clf_line,
     parse_clf_lines,
+    read_clf_columns,
 )
 from repro.trace.embedding import fold_embedded_objects
 from repro.trace.sessions import Session, sessionize
@@ -69,6 +70,7 @@ __all__ = [
     "parse_clf_file",
     "parse_clf_line",
     "parse_clf_lines",
+    "read_clf_columns",
     "fold_embedded_objects",
     "Session",
     "sessionize",

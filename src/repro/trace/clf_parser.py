@@ -5,9 +5,19 @@ Format (CLF)::
 
     host - - [01/Jul/1995:00:00:01 -0400] "GET /history/apollo/ HTTP/1.0" 200 6245
 
-This module parses that format into :class:`~repro.trace.record.LogRecord`
-objects and can write records back out, which the synthetic generator uses
-so a generated trace is byte-compatible with tools expecting real logs.
+This module parses that format two ways over one grammar:
+
+* :func:`parse_clf_line` / :func:`iter_clf_file` yield one
+  :class:`~repro.trace.record.LogRecord` per line — the lazy record API;
+* :func:`read_clf_columns` parses a whole file in chunks straight into a
+  :class:`~repro.trace.columnar.TraceColumns`, building no record objects —
+  the ingest path of :meth:`~repro.trace.dataset.Trace.from_clf_file` and
+  ``repro convert``.  Its columns, string tables, :class:`ParseStats` and
+  strict-mode errors are exactly those of
+  ``TraceColumns.from_records(iter_clf_file(path))``.
+
+It can also write records back out, which the synthetic generator uses so
+a generated trace is byte-compatible with tools expecting real logs.
 Malformed lines — the 1995 NASA log famously contains some — are skipped or
 raised depending on ``strict``.
 """
@@ -16,11 +26,18 @@ from __future__ import annotations
 
 import calendar
 import re
+from array import array
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from itertools import compress
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from repro.errors import ParseError
 from repro.trace.record import LogRecord
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.trace.columnar import TraceColumns
 
 
 @dataclass
@@ -28,9 +45,10 @@ class ParseStats:
     """Counters accumulated while parsing a CLF stream.
 
     Pass an instance as ``stats=`` to :func:`parse_clf_lines`,
-    :func:`iter_clf_file`, or :func:`parse_clf_file`; the counters fill in
-    as the stream is consumed (so with the lazy iterators they are only
-    final once iteration completes).
+    :func:`iter_clf_file`, :func:`parse_clf_file` or
+    :func:`read_clf_columns`; the counters fill in as the stream is
+    consumed (so with the lazy iterators they are only final once
+    iteration completes).
     """
 
     total_lines: int = 0
@@ -47,8 +65,8 @@ class ParseStats:
 _CLF_RE = re.compile(
     r"""
     ^(?P<host>\S+)\s+
-    (?P<ident>\S+)\s+
-    (?P<user>\S+)\s+
+    \S+\s+  # ident
+    \S+\s+  # user
     \[(?P<time>[^\]]+)\]\s+
     "(?P<request>[^"]*)"\s+
     (?P<status>\d{3})\s+
@@ -108,6 +126,8 @@ def _parse_clf_time(text: str) -> float:
             epoch -= offset
         else:
             epoch += offset
+    if epoch < 0:
+        raise ValueError(f"CLF time before 1970-01-01T00:00:00Z: {text!r}")
     return float(epoch)
 
 
@@ -140,33 +160,44 @@ def _split_request(request: str) -> tuple[str, str]:
     return method, url
 
 
+#: Largest response size a trace column holds (``int64``).
+_MAX_SIZE = 2**63 - 1
+
+
+def _parse_size(field: str) -> int:
+    """The size field as bytes: ``-`` means 0; it must fit ``int64``."""
+    size = 0 if field == "-" else int(field)
+    if size > _MAX_SIZE:
+        raise ValueError(f"response size does not fit in 64 bits: {field}")
+    return size
+
+
 def parse_clf_line(line: str) -> LogRecord:
     """Parse one CLF line into a :class:`LogRecord`.
 
     Raises
     ------
     ParseError
-        If the line does not match the Common Log Format.
+        If the line does not match the Common Log Format, or a field is
+        out of range: a bad date or time of day, a time before the Unix
+        epoch, an empty request or a size beyond ``int64``.
     """
     match = _CLF_RE.match(line)
     if match is None:
         raise ParseError(line, "does not match CLF grammar")
+    host, time_field, request, status, size_field = match.groups()
     try:
-        timestamp = _parse_clf_time(match.group("time"))
+        timestamp = _parse_clf_time(time_field)
+        method, url = _split_request(request)
+        size = _parse_size(size_field)
     except ValueError as exc:
         raise ParseError(line, str(exc)) from exc
-    try:
-        method, url = _split_request(match.group("request"))
-    except ValueError as exc:
-        raise ParseError(line, str(exc)) from exc
-    size_field = match.group("size")
-    size = 0 if size_field == "-" else int(size_field)
     return LogRecord(
-        client=match.group("host"),
+        client=host,
         timestamp=timestamp,
         url=url,
         size=size,
-        status=int(match.group("status")),
+        status=int(status),
         method=method,
     )
 
@@ -230,6 +261,273 @@ def parse_clf_file(
     the whole log in memory anyway.
     """
     return list(iter_clf_file(path, strict=strict, stats=stats))
+
+
+# ---------------------------------------------------------------------------
+# Batched ingest: CLF file -> TraceColumns
+# ---------------------------------------------------------------------------
+
+#: ``readlines`` size hint (characters) of one chunk of the batched reader.
+#: The chunk's temporary strings leave the allocator holding memory after
+#: they are freed, so bigger chunks raise peak RSS: a process building a
+#: Trace from a 126k-line NASA-style log peaked at 48.9 MB with this hint,
+#: 49.9 MB with 64 KB, 52.1 MB with 256 KB and 49.0 MB through the
+#: per-line parser.  About 375 lines a chunk still amortise numpy's
+#: per-call cost: 64 KB chunks parse only ~9% faster.
+_CHUNK_HINT = 32 * 1024
+
+#: ``DD/Mon/YYYY:HH:MM:SS ±ZZZZ`` — the time field every CLF writer emits.
+_CANONICAL_TIME = "01/Jul/1995:00:00:00 -0400"
+_DIGIT_AT = np.array(
+    [i for i, char in enumerate(_CANONICAL_TIME) if char.isdigit()]
+)
+_SEPARATOR_AT = np.array([2, 6, 11, 14, 17, 20])
+_SEPARATORS = np.frombuffer(b"//::: ", dtype=np.uint8)
+#: Month names as 24-bit big-endian integers, January first.
+_MONTH_KEYS = np.array(
+    [int.from_bytes(name.encode("ascii"), "big") for name in _MONTHS]
+)
+
+
+def _days_from_civil(
+    year: np.ndarray, month: np.ndarray, day: np.ndarray
+) -> np.ndarray:
+    """Days from 1970-01-01 to a proleptic Gregorian date, for ``year >= 1``.
+
+    The vectorised twin of ``calendar.timegm``'s day count, linear in
+    ``day`` like it (31 February is 3 March).
+    """
+    year = year - (month <= 2)
+    era = year // 400
+    year_of_era = year - era * 400
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    day_of_era = (
+        year_of_era * 365 + year_of_era // 4 - year_of_era // 100 + day_of_year
+    )
+    return era * 146_097 + day_of_era - 719_468
+
+
+def _clf_timestamps(fields: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of CLF time fields and a mask of the valid ones.
+
+    Canonical ``DD/Mon/YYYY:HH:MM:SS ±ZZZZ`` fields convert in one numpy
+    pass with :func:`_parse_clf_time`'s range checks.  Every other field,
+    and every canonical one a check rejects, goes through
+    :func:`_parse_clf_time` itself, so the accepted language is exactly
+    the per-line parser's.
+    """
+    count = len(fields)
+    width = len(_CANONICAL_TIME)
+    lengths = np.fromiter(map(len, fields), dtype=np.int64, count=count)
+    starts = np.cumsum(lengths) - lengths
+    rows = np.flatnonzero(lengths == width)
+    # Latin-1 text encodes one byte per character, so offsets carry over.
+    text = np.frombuffer("".join(fields).encode("latin-1"), dtype=np.uint8)
+    chars = text[starts[rows, None] + np.arange(width)]
+    digits = chars - np.uint8(ord("0"))  # non-digits wrap above 9
+    valid = (digits[:, _DIGIT_AT] <= 9).all(axis=1)
+    valid &= (chars[:, _SEPARATOR_AT] == _SEPARATORS).all(axis=1)
+    valid &= (chars[:, 21] == ord("+")) | (chars[:, 21] == ord("-"))
+    month_key = (
+        chars[:, 3].astype(np.int64) << 16
+        | chars[:, 4].astype(np.int64) << 8
+        | chars[:, 5]
+    )
+    is_month = month_key[:, None] == _MONTH_KEYS
+    valid &= is_month.any(axis=1)
+    month = is_month.argmax(axis=1) + 1
+
+    digits = digits.astype(np.int64)
+
+    def number(*columns: int) -> np.ndarray:
+        value = np.zeros(len(rows), dtype=np.int64)
+        for column in columns:
+            value = value * 10 + digits[:, column]
+        return value
+
+    day, year = number(0, 1), number(7, 8, 9, 10)
+    hour, minute, second = number(12, 13), number(15, 16), number(18, 19)
+    zone = number(22, 23) * 3600 + number(24, 25) * 60
+    # year 0 is out of calendar.timegm's range; 60 s allows leap seconds.
+    valid &= (day >= 1) & (day <= 31) & (year >= 1)
+    valid &= (hour <= 23) & (minute <= 59) & (second <= 60)
+    epoch = _days_from_civil(year, month, day) * 86_400
+    epoch += hour * 3600 + minute * 60 + second
+    epoch += np.where(chars[:, 21] == ord("-"), zone, -zone)
+    valid &= epoch >= 0
+
+    stamps = np.zeros(count, dtype=np.float64)
+    ok = np.zeros(count, dtype=bool)
+    stamps[rows[valid]] = epoch[valid]
+    ok[rows[valid]] = True
+    for row in np.flatnonzero(~ok).tolist():
+        try:
+            stamps[row] = _parse_clf_time(fields[row])
+        except ValueError:
+            continue
+        ok[row] = True
+    return stamps, ok
+
+
+def _split_or_none(request: str) -> tuple[str, str] | None:
+    try:
+        return _split_request(request)
+    except ValueError:
+        return None
+
+
+def _size_or_none(field: str) -> int | None:
+    try:
+        return _parse_size(field)
+    except ValueError:
+        return None
+
+
+class _ClfColumnReader:
+    """Chunk-at-a-time state of :func:`read_clf_columns`."""
+
+    def __init__(self, strict: bool, stats: ParseStats) -> None:
+        self.strict = strict
+        self.stats = stats
+        self.clients: dict[str, int] = {}
+        self.urls: dict[str, int] = {}
+        self.methods: dict[str, int] = {}
+        #: Growable typed buffers the chunks append to; the columns are
+        #: zero-copy views of them, so no chunk list is ever joined.
+        self.buffers = {
+            name: array(typecode) for name, typecode, _dtype in self._COLUMNS
+        }
+
+    #: (column, array typecode, dtype of the same width).
+    _COLUMNS = (
+        ("timestamps", "d", np.float64),
+        ("clients", "i", np.int32),
+        ("urls", "i", np.int32),
+        ("sizes", "q", np.int64),
+        ("statuses", "i", np.int32),
+        ("methods", "h", np.int16),
+    )
+
+    def add(self, stripped: list[str]) -> None:
+        """Parse one chunk of stripped lines into the columns."""
+        matches = filter(None, map(_CLF_RE.match, stripped))
+        fields = list(zip(*map(re.Match.groups, matches)))
+        if fields:
+            hosts, times, requests, statuses, sizes = fields
+        else:
+            hosts = times = requests = statuses = sizes = ()
+        # The per-line checks in parse_clf_line's order: time, request, size.
+        stamps, ok = _clf_timestamps(times)
+        splits = {request: _split_or_none(request) for request in dict.fromkeys(requests)}
+        if None in splits.values():
+            ok &= np.array([splits[request] is not None for request in requests])
+        if max(map(len, sizes), default=0) < 19:  # 18 digits fit int64
+            size_values = [0 if field == "-" else int(field) for field in sizes]
+        else:
+            size_values = list(map(_size_or_none, sizes))
+            ok &= np.array([size is not None for size in size_values])
+            size_values = [size or 0 for size in size_values]
+
+        stats = self.stats
+        blank = stripped.count("")
+        parsed = int(ok.sum())
+        malformed = len(stripped) - blank - parsed
+        if malformed and self.strict:
+            self._raise_first_malformed(stripped, ok)
+        stats.total_lines += len(stripped)
+        stats.blank += blank
+        stats.parsed += parsed
+        stats.malformed += malformed
+        if not parsed:
+            return
+
+        statuses = np.fromiter(map(int, statuses), dtype=np.int32, count=len(statuses))
+        sizes = np.array(size_values, dtype=np.int64)
+        if parsed < len(ok):
+            keep = ok.tolist()
+            hosts = list(compress(hosts, keep))
+            requests = list(compress(requests, keep))
+            stamps, statuses, sizes = stamps[ok], statuses[ok], sizes[ok]
+        # Ids go to unseen strings in first-seen order, as a SymbolTable
+        # assigns them.  URLs and methods intern request by request, in
+        # the order the requests first appear, which is the order their
+        # URLs and methods first appear.
+        for host in dict.fromkeys(hosts):
+            self.clients.setdefault(host, len(self.clients))
+        method_of: dict[str, int] = {}
+        url_of: dict[str, int] = {}
+        for request in dict.fromkeys(requests):
+            method, url = splits[request]
+            method_of[request] = self.methods.setdefault(method, len(self.methods))
+            url_of[request] = self.urls.setdefault(url, len(self.urls))
+        for name, values in (
+            ("timestamps", stamps),
+            ("clients", np.fromiter(map(self.clients.__getitem__, hosts), np.int32, parsed)),
+            ("urls", np.fromiter(map(url_of.__getitem__, requests), np.int32, parsed)),
+            ("sizes", sizes),
+            ("statuses", statuses),
+            ("methods", np.fromiter(map(method_of.__getitem__, requests), np.int16, parsed)),
+        ):
+            self.buffers[name].frombytes(values.view(np.uint8))
+
+    def _raise_first_malformed(self, stripped: list[str], ok: np.ndarray) -> None:
+        """Count up to the chunk's first malformed line, then raise its
+        :class:`ParseError` — the one :func:`parse_clf_lines` raises."""
+        row = 0
+        for index, line in enumerate(stripped):
+            if not line:
+                continue
+            if _CLF_RE.match(line) is not None:
+                row += 1
+                if ok[row - 1]:
+                    continue
+            blank = stripped[:index].count("")
+            self.stats.total_lines += index + 1
+            self.stats.blank += blank
+            self.stats.parsed += index - blank
+            self.stats.malformed += 1
+            parse_clf_line(line)  # raises the per-line parser's ParseError
+            raise AssertionError(f"parse_clf_line accepts a rejected line: {line!r}")
+
+    def columns(self) -> "TraceColumns":
+        from repro.trace.columnar import TraceColumns
+
+        columns = {
+            name: np.frombuffer(self.buffers[name], dtype=dtype)
+            for name, _typecode, dtype in self._COLUMNS
+        }
+        return TraceColumns(
+            **columns,
+            # CLF carries no latencies: one NaN broadcast over every row.
+            latencies=np.broadcast_to(np.nan, len(columns["timestamps"])),
+            client_table=tuple(self.clients),
+            url_table=tuple(self.urls),
+            method_table=tuple(self.methods),
+            parse_stats=self.stats,
+        )
+
+
+def read_clf_columns(
+    path: str, *, strict: bool = False, stats: ParseStats | None = None
+) -> "TraceColumns":
+    """Parse a CLF log file straight into columns, building no records.
+
+    The batched twin of ``TraceColumns.from_records(iter_clf_file(path,
+    stats=stats), parse_stats=stats)``: the same columns, string tables
+    (first-seen order), :class:`ParseStats` and, with ``strict``, the same
+    :class:`ParseError` for the first malformed line, raised with the
+    counters where the per-line parser leaves them.  The file is read in
+    chunks of about 32 KB; per line only ``strip`` and the grammar
+    regex run, while timestamps, requests, sizes and interning go a chunk
+    at a time.  The counters land in ``stats`` (a fresh
+    :class:`ParseStats` when omitted), which the columns carry as
+    ``parse_stats``.
+    """
+    reader = _ClfColumnReader(strict, ParseStats() if stats is None else stats)
+    with open(path, "r", encoding="latin-1") as handle:
+        while stripped := list(map(str.strip, handle.readlines(_CHUNK_HINT))):
+            reader.add(stripped)
+    return reader.columns()
 
 
 def format_clf_line(record: LogRecord) -> str:

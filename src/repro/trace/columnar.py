@@ -474,13 +474,14 @@ class _ColumnAccumulator:
 
 
 class ColumnarWriter:
-    """Streaming writer for a columnar trace file.
+    """Buffered writer for a columnar trace file.
 
     Records append in compact primitive buffers (tens of bytes per event,
     no ``LogRecord`` retained), so producers that generate day batches —
-    the synthetic generator, the CLF converter — never hold the object
-    form of the whole trace.  ``close()`` frames and writes the file;
-    usable as a context manager.
+    the synthetic generator — never hold the object form of the whole
+    trace; every column stays buffered until ``close()`` frames and
+    writes the file (:class:`StreamingColumnarWriter` bounds that
+    memory).  Usable as a context manager.
     """
 
     def __init__(self, path: str) -> None:
@@ -685,17 +686,16 @@ def convert_clf_to_columnar(
 ) -> "ParseStats":
     """One-shot CLF → columnar conversion; parses the log exactly once.
 
+    The log is read by :func:`~repro.trace.clf_parser.read_clf_columns`.
     The final :class:`~repro.trace.clf_parser.ParseStats` (including the
     malformed-line count) is persisted in the columnar header, so the
     provenance of a converted NASA-style log survives the format change.
+    With ``strict``, a malformed line raises and nothing is written.
     """
-    from repro.trace.clf_parser import ParseStats, iter_clf_file
+    from repro.trace.clf_parser import ParseStats, read_clf_columns
 
     stats = ParseStats()
-    writer = ColumnarWriter(dest)
-    writer.extend(iter_clf_file(source, strict=strict, stats=stats))
-    writer.parse_stats = stats
-    writer.close()
+    read_clf_columns(source, strict=strict, stats=stats).save(dest)
     return stats
 
 

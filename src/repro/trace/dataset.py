@@ -126,15 +126,17 @@ class Trace:
     def from_clf_file(cls, path: str, *, name: str | None = None, **kwargs) -> "Trace":
         """Load a trace from a Common Log Format file on disk.
 
-        The file is streamed and parsed exactly once (no intermediate
-        per-line record list, no re-parse on later day splits) and the
-        resulting trace carries the parse counters as ``parse_stats``.
+        The file is parsed exactly once, in bounded chunks, straight into
+        columns by :func:`~repro.trace.clf_parser.read_clf_columns` — no
+        per-line record objects, no re-parse on later day splits — and
+        malformed lines are skipped.  The resulting trace carries the parse
+        counters as ``parse_stats``.
         """
-        from repro.trace.clf_parser import ParseStats, iter_clf_file
+        from repro.trace.clf_parser import ParseStats, read_clf_columns
 
         stats = ParseStats()
         return cls(
-            iter_clf_file(path, stats=stats),
+            read_clf_columns(path, stats=stats),
             name=name or path,
             parse_stats=stats,
             **kwargs,

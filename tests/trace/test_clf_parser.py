@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.errors import ParseError
+from repro.trace import clf_parser
 from repro.trace.clf_parser import (
     ParseStats,
     format_clf_line,
@@ -14,6 +15,8 @@ from repro.trace.clf_parser import (
     parse_clf_lines,
     write_clf_file,
 )
+from repro.trace.columnar import convert_clf_to_columnar
+from repro.trace.dataset import Trace
 from repro.trace.record import LogRecord
 
 NASA_LINE = (
@@ -88,6 +91,61 @@ class TestParseClfLine:
             assert exc.line == "garbage line"
         else:  # pragma: no cover
             pytest.fail("expected ParseError")
+
+
+#: Lines whose fields match the grammar but fall outside what a trace
+#: holds: a time before 1970-01-01T00:00:00Z, a size beyond int64.
+OUT_OF_RANGE = {
+    "pre-epoch": 'h - - [01/Jan/1970:00:00:00 +0100] "GET /x HTTP/1.0" 200 5',
+    "oversize": 'h - - [01/Jul/1995:00:00:00 +0000] "GET /x HTTP/1.0" 200 99999999999999999999',
+}
+
+
+@pytest.mark.parametrize("line", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+class TestOutOfRangeFields:
+    """Out-of-range fields are malformed lines, never an aborted ingest."""
+
+    def _log(self, tmp_path, line):
+        path = tmp_path / "access.log"
+        path.write_text(f"{NASA_LINE}\n{line}\n{NASA_LINE}\n", encoding="latin-1")
+        return str(path)
+
+    def test_parse_clf_line_raises_parse_error(self, line):
+        with pytest.raises(ParseError) as info:
+            parse_clf_line(line)
+        assert info.value.line == line
+
+    def test_parse_clf_lines_skips_and_counts(self, line):
+        stats = ParseStats()
+        records = list(parse_clf_lines([NASA_LINE, line, NASA_LINE], stats=stats))
+        assert len(records) == 2
+        assert (stats.parsed, stats.malformed) == (2, 1)
+
+    def test_parse_clf_lines_strict_raises(self, line):
+        with pytest.raises(ParseError) as info:
+            list(parse_clf_lines([NASA_LINE, line], strict=True))
+        assert info.value.line == line
+
+    def test_read_clf_columns_skips_and_counts(self, line, tmp_path):
+        stats = ParseStats()
+        columns = clf_parser.read_clf_columns(self._log(tmp_path, line), stats=stats)
+        assert len(columns) == 2
+        assert (stats.parsed, stats.malformed) == (2, 1)
+
+    def test_read_clf_columns_strict_raises(self, line, tmp_path):
+        stats = ParseStats()
+        with pytest.raises(ParseError) as info:
+            clf_parser.read_clf_columns(
+                self._log(tmp_path, line), strict=True, stats=stats
+            )
+        assert info.value.line == line
+        assert stats == ParseStats(total_lines=2, parsed=1, blank=0, malformed=1)
+
+    def test_trace_and_convert_skip_the_line(self, line, tmp_path):
+        log = self._log(tmp_path, line)
+        assert Trace.from_clf_file(log).parse_stats.malformed == 1
+        stats = convert_clf_to_columnar(log, str(tmp_path / "access.rpt"))
+        assert (stats.parsed, stats.malformed) == (2, 1)
 
 
 class TestParseClfLines:
