@@ -77,7 +77,7 @@ def _time_field(rng: random.Random) -> str:
         lambda: f"{day:02d}/{rng.choice(('Foo', 'jul', 'JUL', 'Ju1'))}/{year}:00:00:00 {zone}",
         lambda: f"{day:02d}-{month}-{year}:00:00:00 {zone}",
         lambda: f"{day:02d}/{month}/{year}:{hour:02d}:{minute:02d}:{second:02d} {zone[0]}12",
-        lambda: f"{day:02d}/{month}/{year}:{hour:02d}:{minute:02d}:{second:02d} *0000",
+        lambda: f"{day:02d}/{month}/{year}:{hour:02d}:{minute:02d}:{second:02d} {rng.choice('*,')}0000",
         lambda: f"{day:02d}/{month}/{year}:{hour:02d}:{minute:02d}:{second:02d} +0000\x00",
         lambda: "bad time",
     )
