@@ -26,18 +26,15 @@ from __future__ import annotations
 
 import calendar
 import re
-from array import array
 from dataclasses import dataclass
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from repro.errors import ParseError
+from repro.trace.columnar import TraceColumns, _ColumnAccumulator
 from repro.trace.record import LogRecord
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.trace.columnar import TraceColumns
 
 
 @dataclass
@@ -269,11 +266,12 @@ def parse_clf_file(
 
 #: ``readlines`` size hint (characters) of one chunk of the batched reader.
 #: The chunk's temporary strings leave the allocator holding memory after
-#: they are freed, so bigger chunks raise peak RSS: a process building a
-#: Trace from a 126k-line NASA-style log peaked at 48.9 MB with this hint,
-#: 49.9 MB with 64 KB, 52.1 MB with 256 KB and 49.0 MB through the
-#: per-line parser.  About 375 lines a chunk still amortise numpy's
-#: per-call cost: 64 KB chunks parse only ~9% faster.
+#: they are freed, so bigger chunks raise peak RSS.  Building a Trace from
+#: a 126k-line NASA-style log, the peak at this hint is within ~0.5 MB of
+#: the per-line parser's (49.1-49.7 MB against 49.0-49.3 MB, above it in
+#: most runs); 64 KB chunks add ~0.5 MB more and 256 KB chunks ~3 MB.
+#: About 375 lines a chunk still amortise numpy's per-call cost: 64 KB
+#: chunks parse only ~9% faster.
 _CHUNK_HINT = 32 * 1024
 
 #: ``DD/Mon/YYYY:HH:MM:SS ±ZZZZ`` — the time field every CLF writer emits.
@@ -389,42 +387,20 @@ class _ClfColumnReader:
     def __init__(self, strict: bool, stats: ParseStats) -> None:
         self.strict = strict
         self.stats = stats
-        self.clients: dict[str, int] = {}
-        self.urls: dict[str, int] = {}
-        self.methods: dict[str, int] = {}
-        #: Growable typed buffers the chunks append to; the columns are
-        #: zero-copy views of them, so no chunk list is ever joined.
-        self.buffers = {
-            name: array(typecode) for name, typecode, _dtype in self._COLUMNS
-        }
-
-    #: (column, array typecode, dtype of the same width).
-    _COLUMNS = (
-        ("timestamps", "d", np.float64),
-        ("clients", "i", np.int32),
-        ("urls", "i", np.int32),
-        ("sizes", "q", np.int64),
-        ("statuses", "i", np.int32),
-        ("methods", "h", np.int16),
-    )
+        self.acc = _ColumnAccumulator()
 
     def add(self, stripped: list[str]) -> None:
         """Parse one chunk of stripped lines into the columns."""
         matches = filter(None, map(_CLF_RE.match, stripped))
         fields = list(zip(*map(re.Match.groups, matches)))
-        if fields:
-            hosts, times, requests, statuses, sizes = fields
-        else:
-            hosts = times = requests = statuses = sizes = ()
+        hosts, times, requests, statuses, sizes = fields or ((),) * 5
         # The per-line checks in parse_clf_line's order: time, request, size.
         stamps, ok = _clf_timestamps(times)
         splits = {request: _split_or_none(request) for request in dict.fromkeys(requests)}
         if None in splits.values():
             ok &= np.array([splits[request] is not None for request in requests])
-        if max(map(len, sizes), default=0) < 19:  # 18 digits fit int64
-            size_values = [0 if field == "-" else int(field) for field in sizes]
-        else:
-            size_values = list(map(_size_or_none, sizes))
+        size_values = list(map(_size_or_none, sizes))
+        if None in size_values:
             ok &= np.array([size is not None for size in size_values])
             size_values = [size or 0 for size in size_values]
 
@@ -448,27 +424,25 @@ class _ClfColumnReader:
             hosts = list(compress(hosts, keep))
             requests = list(compress(requests, keep))
             stamps, statuses, sizes = stamps[ok], statuses[ok], sizes[ok]
-        # Ids go to unseen strings in first-seen order, as a SymbolTable
-        # assigns them.  URLs and methods intern request by request, in
-        # the order the requests first appear, which is the order their
-        # URLs and methods first appear.
-        for host in dict.fromkeys(hosts):
-            self.clients.setdefault(host, len(self.clients))
-        method_of: dict[str, int] = {}
-        url_of: dict[str, int] = {}
-        for request in dict.fromkeys(requests):
-            method, url = splits[request]
-            method_of[request] = self.methods.setdefault(method, len(self.methods))
-            url_of[request] = self.urls.setdefault(url, len(self.urls))
-        for name, values in (
-            ("timestamps", stamps),
-            ("clients", np.fromiter(map(self.clients.__getitem__, hosts), np.int32, parsed)),
-            ("urls", np.fromiter(map(url_of.__getitem__, requests), np.int32, parsed)),
-            ("sizes", sizes),
-            ("statuses", statuses),
-            ("methods", np.fromiter(map(method_of.__getitem__, requests), np.int16, parsed)),
-        ):
-            self.buffers[name].frombytes(values.view(np.uint8))
+        # Unseen strings get the next id in first-seen order, as
+        # from_records interns them.  URLs and methods intern request by
+        # request, in the order the requests first appear, which is the
+        # order their URLs and methods first appear.
+        acc = self.acc
+        unique_hosts = list(dict.fromkeys(hosts))
+        client_of = dict(zip(unique_hosts, acc.client_symbols.intern_sequence(unique_hosts)))
+        unique_requests = list(dict.fromkeys(requests))
+        methods, urls = zip(*map(splits.__getitem__, unique_requests))
+        method_of = dict(zip(unique_requests, acc.method_symbols.intern_sequence(methods)))
+        url_of = dict(zip(unique_requests, acc.url_symbols.intern_sequence(urls)))
+        acc.extend_columns(
+            timestamps=stamps,
+            clients=list(map(client_of.__getitem__, hosts)),
+            urls=list(map(url_of.__getitem__, requests)),
+            sizes=sizes,
+            statuses=statuses,
+            methods=list(map(method_of.__getitem__, requests)),
+        )
 
     def _raise_first_malformed(self, stripped: list[str], ok: np.ndarray) -> None:
         """Count up to the chunk's first malformed line, then raise its
@@ -489,27 +463,10 @@ class _ClfColumnReader:
             parse_clf_line(line)  # raises the per-line parser's ParseError
             raise AssertionError(f"parse_clf_line accepts a rejected line: {line!r}")
 
-    def columns(self) -> "TraceColumns":
-        from repro.trace.columnar import TraceColumns
-
-        columns = {
-            name: np.frombuffer(self.buffers[name], dtype=dtype)
-            for name, _typecode, dtype in self._COLUMNS
-        }
-        return TraceColumns(
-            **columns,
-            # CLF carries no latencies: one NaN broadcast over every row.
-            latencies=np.broadcast_to(np.nan, len(columns["timestamps"])),
-            client_table=tuple(self.clients),
-            url_table=tuple(self.urls),
-            method_table=tuple(self.methods),
-            parse_stats=self.stats,
-        )
-
 
 def read_clf_columns(
     path: str, *, strict: bool = False, stats: ParseStats | None = None
-) -> "TraceColumns":
+) -> TraceColumns:
     """Parse a CLF log file straight into columns, building no records.
 
     The batched twin of ``TraceColumns.from_records(iter_clf_file(path,
@@ -523,11 +480,17 @@ def read_clf_columns(
     :class:`ParseStats` when omitted), which the columns carry as
     ``parse_stats``.
     """
-    reader = _ClfColumnReader(strict, ParseStats() if stats is None else stats)
+    if stats is None:
+        stats = ParseStats()
+    reader = _ClfColumnReader(strict, stats)
     with open(path, "r", encoding="latin-1") as handle:
         while stripped := list(map(str.strip, handle.readlines(_CHUNK_HINT))):
             reader.add(stripped)
-    return reader.columns()
+    columns = reader.acc.to_columns(parse_stats=stats)
+    # A log has no latencies.  One NaN broadcast instead of an 8-byte
+    # column keeps 1 MB per 126k lines off the ingest peak.
+    columns.latencies = np.broadcast_to(np.nan, len(columns))
+    return columns
 
 
 def format_clf_line(record: LogRecord) -> str:

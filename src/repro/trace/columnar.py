@@ -402,10 +402,10 @@ class _ColumnAccumulator:
 
     def __init__(self) -> None:
         self.timestamps = array("d")
-        self.clients = array("l")
-        self.urls = array("l")
+        self.clients = array("i")
+        self.urls = array("i")
         self.sizes = array("q")
-        self.statuses = array("l")
+        self.statuses = array("i")
         self.methods = array("h")
         self.latencies = array("d")
         self.client_symbols = SymbolTable()
@@ -416,14 +416,15 @@ class _ColumnAccumulator:
         return len(self.timestamps)
 
     #: Append-order numeric buffers: (attribute, array typecode, disk
-    #: dtype).  The chunked spill path drains them through this single
-    #: source of truth, so buffer order always matches the file layout.
+    #: dtype of the same width).  The chunked spill path and the batched
+    #: CLF reader fill and drain them through this single source of
+    #: truth, so buffer order always matches the file layout.
     _NUMERIC = (
         ("timestamps", "d", np.float64),
-        ("clients", "l", np.int32),
-        ("urls", "l", np.int32),
+        ("clients", "i", np.int32),
+        ("urls", "i", np.int32),
         ("sizes", "q", np.int64),
-        ("statuses", "l", np.int32),
+        ("statuses", "i", np.int32),
         ("methods", "h", np.int16),
         ("latencies", "d", np.float64),
     )
@@ -438,6 +439,15 @@ class _ColumnAccumulator:
         self.latencies.append(
             float("nan") if record.latency is None else record.latency
         )
+
+    def extend_columns(self, **chunk: np.ndarray) -> None:
+        """Append a chunk of rows column by column: the batched twin of
+        :meth:`append`.  Ids must come from this accumulator's symbol
+        tables; a column the chunk leaves out is not extended."""
+        for name, _typecode, dtype in self._NUMERIC:
+            if name in chunk:
+                values = np.asarray(chunk[name], dtype=dtype)
+                getattr(self, name).frombytes(values.view(np.uint8))
 
     def drain_numeric(self) -> tuple[bytes, ...]:
         """Final-dtype bytes of the numeric columns buffered so far.
@@ -692,11 +702,11 @@ def convert_clf_to_columnar(
     provenance of a converted NASA-style log survives the format change.
     With ``strict``, a malformed line raises and nothing is written.
     """
-    from repro.trace.clf_parser import ParseStats, read_clf_columns
+    from repro.trace.clf_parser import read_clf_columns
 
-    stats = ParseStats()
-    read_clf_columns(source, strict=strict, stats=stats).save(dest)
-    return stats
+    columns = read_clf_columns(source, strict=strict)
+    columns.save(dest)
+    return columns.parse_stats
 
 
 def convert_columnar_to_clf(source: str, dest: str) -> int:

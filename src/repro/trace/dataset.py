@@ -132,15 +132,9 @@ class Trace:
         malformed lines are skipped.  The resulting trace carries the parse
         counters as ``parse_stats``.
         """
-        from repro.trace.clf_parser import ParseStats, read_clf_columns
+        from repro.trace.clf_parser import read_clf_columns
 
-        stats = ParseStats()
-        return cls(
-            read_clf_columns(path, stats=stats),
-            name=name or path,
-            parse_stats=stats,
-            **kwargs,
-        )
+        return cls(read_clf_columns(path), name=name or path, **kwargs)
 
     @classmethod
     def from_columnar_file(

@@ -168,17 +168,6 @@ def _write_corpus_file(path, seed: int) -> None:
     path.write_bytes("".join(parts).encode("latin-1"))
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory) -> list:
-    root = tmp_path_factory.mktemp("clf-corpus")
-    paths = []
-    for index in range(FILES):
-        path = root / f"access-{index:02d}.log"
-        _write_corpus_file(path, SEED + index)
-        paths.append(path)
-    return paths
-
-
 def _reference(path, *, strict: bool = False):
     """(framed columns, stats) or (ParseError, stats) of the per-line path."""
     stats = ParseStats()
