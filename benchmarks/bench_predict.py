@@ -15,33 +15,19 @@ ratios in ``benchmarks/results/BENCH_predict.json``:
 
 Totals are asserted identical between the two arms before any ratio is
 trusted.  In-test floors are CI-safe; the committed artifact records the
-real numbers and ``check_predict_regression.py`` gates the ratios
-against ``benchmarks/baselines/BENCH_predict.json``.  Serving speed is
-measured end to end by ``perfbench``'s ``serve-wal`` workload.
+real numbers and ``python benchmarks/harness.py check predict`` gates the
+ratios against ``benchmarks/baselines/BENCH_predict.json``.  Serving
+speed is measured end to end by ``perfbench``'s ``serve-wal`` workload.
 """
 
-import json
-import pathlib
 import time
 
+from harness import update_results
 from repro import params
 from repro.experiments import get_lab
 from repro.experiments.lab import bench_scale
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "benchmarks" / "results" / "BENCH_predict.json"
 THRESHOLD = params.PREDICTION_PROBABILITY_THRESHOLD
-
-
-def _update_bench_json(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_predict.json (tests are independent)."""
-    BENCH_JSON.parent.mkdir(exist_ok=True)
-    doc = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-    doc["scale"] = bench_scale()
-    doc[section] = payload
-    BENCH_JSON.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _best_of(fn, rounds: int = 7):
@@ -105,7 +91,8 @@ def test_batch_predict_speedup():
     walk, table = _steps(model)
     off_seconds, on_seconds, total = _ab(sweep(walk), sweep(table))
     speedup = off_seconds / on_seconds
-    _update_bench_json(
+    update_results(
+        "predict",
         "batch_predict",
         {
             "cursors": len(cursors),
@@ -114,6 +101,7 @@ def test_batch_predict_speedup():
             "compiled_seconds": round(on_seconds, 4),
             "speedup": round(speedup, 2),
         },
+        scale=bench_scale(),
     )
     print(
         f"batch predict: uncompiled {off_seconds:.4f}s "
@@ -147,7 +135,8 @@ def test_cursor_replay_speedup():
     walk, table = _steps(model)
     off_seconds, on_seconds, total = _ab(replay(walk), replay(table))
     speedup = off_seconds / on_seconds
-    _update_bench_json(
+    update_results(
+        "predict",
         "cursor_replay",
         {
             "clicks": sum(len(urls) for urls in streams),
@@ -156,6 +145,7 @@ def test_cursor_replay_speedup():
             "compiled_seconds": round(on_seconds, 4),
             "speedup": round(speedup, 2),
         },
+        scale=bench_scale(),
     )
     print(
         f"cursor replay: uncompiled {off_seconds:.4f}s "

@@ -18,22 +18,21 @@ Measures the tentpole claims of the ``repro.sampling`` subsystem:
 2,000,000 — the full acceptance run; CI uses 150,000).  Results merge
 into ``benchmarks/results/BENCH_sampling.json`` and are gated against
 ``benchmarks/baselines/BENCH_sampling.json`` by
-``check_sampling_regression.py``.
+``python benchmarks/harness.py check sampling``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pathlib
-import subprocess
 import sys
 
 import pytest
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "benchmarks" / "results" / "BENCH_sampling.json"
-PROBE = REPO_ROOT / "benchmarks" / "sampling_probe.py"
+from harness import RESULTS_DIR, run_probe, update_results
+
+BENCH_JSON = RESULTS_DIR / "BENCH_sampling.json"
+PROBE = "sampling_probe.py"
 
 #: Full-run speedup trace size; the 5x acceptance gate applies at >= this.
 FULL_EVENTS = 2_000_000
@@ -50,35 +49,8 @@ BUDGET = 0.01  # "1pp"
 #: Fallback hit-ratio error cap when the fidelity section has not run.
 FALLBACK_ERROR_CAP = 0.05
 
-
-def _update_bench_json(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_sampling.json (tests are independent)."""
-    BENCH_JSON.parent.mkdir(exist_ok=True)
-    doc = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-    doc["target_events"] = TARGET_EVENTS
-    doc["fidelity_events"] = FIDELITY_EVENTS
-    doc[section] = payload
-    BENCH_JSON.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _probe(events: int, rate: "float | None") -> dict:
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    out = subprocess.run(
-        [
-            sys.executable,
-            str(PROBE),
-            str(events),
-            "full" if rate is None else str(rate),
-        ],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=env,
-        cwd=str(REPO_ROOT / "benchmarks"),
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
+#: Run-size header of BENCH_sampling.json.
+SIZES = {"target_events": TARGET_EVENTS, "fidelity_events": FIDELITY_EVENTS}
 
 
 def test_fidelity_bounds_and_picked_rate():
@@ -100,7 +72,7 @@ def test_fidelity_bounds_and_picked_rate():
             "hit_ratio_mean_error": round(stats["mean"], 5),
             "speedup": round(node["speedup"], 2),
         }
-    _update_bench_json("fidelity", payload)
+    update_results("sampling", "fidelity", payload, **SIZES)
     print(format_fidelity_report(report, picked=picked))
     # The acceptance bar: some supported rate meets a ±1pp hit-ratio
     # budget on the seeded suite (empirically r=0.5; the picker decides).
@@ -116,8 +88,8 @@ def test_fidelity_bounds_and_picked_rate():
 
 def test_sampled_eval_speedup():
     """One r=10% evaluation vs one full evaluation of the same stream."""
-    full = _probe(TARGET_EVENTS, None)
-    sampled = _probe(TARGET_EVENTS, SPEEDUP_RATE)
+    full = run_probe(PROBE, TARGET_EVENTS, "full")
+    sampled = run_probe(PROBE, TARGET_EVENTS, SPEEDUP_RATE)
     speedup = full["eval_seconds"] / max(sampled["eval_seconds"], 1e-9)
     error = sampled["hit_ratio"] - full["hit_ratio"]
     payload = {
@@ -133,7 +105,7 @@ def test_sampled_eval_speedup():
         "full_hwm_kb": full["hwm_kb"],
         "sampled_hwm_kb": sampled["hwm_kb"],
     }
-    _update_bench_json("speedup", payload)
+    update_results("sampling", "speedup", payload, **SIZES)
     print(
         f"full eval {full['eval_seconds']:.2f}s vs sampled "
         f"{sampled['eval_seconds']:.2f}s at r={SPEEDUP_RATE} = "

@@ -14,26 +14,21 @@ over provably identical work.
 events — the full acceptance run); CI smoke runs set it low and assert a
 looser floor.  Results merge into ``benchmarks/results/BENCH_trace.json``
 and are gated against ``benchmarks/baselines/BENCH_trace.json`` by
-``check_trace_regression.py``.
+``python benchmarks/harness.py check trace``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import subprocess
-import sys
 import time
 
 import pytest
 
+from harness import run_probe, update_results
 from repro.synth.generator import TraceGenerator
 from repro.trace.columnar import convert_clf_to_columnar, convert_columnar_to_clf
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "benchmarks" / "results" / "BENCH_trace.json"
-PROBE = REPO_ROOT / "benchmarks" / "trace_plane_probe.py"
+PROBE = "trace_plane_probe.py"
 
 #: Full-run trace size; the acceptance gate applies at >= this many events.
 FULL_EVENTS = 2_000_000
@@ -54,29 +49,6 @@ CHECKSUM_KEYS = (
     "test_requests",
     "test_ts_floor",
 )
-
-
-def _update_bench_json(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_trace.json (tests are independent)."""
-    BENCH_JSON.parent.mkdir(exist_ok=True)
-    doc = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-    doc["target_events"] = TARGET_EVENTS
-    doc[section] = payload
-    BENCH_JSON.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _probe(mode: str, path: pathlib.Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    out = subprocess.run(
-        [sys.executable, str(PROBE), mode, str(path)],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=env,
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +85,8 @@ def corpus(tmp_path_factory):
 
 
 def test_trace_replay_speedup_and_flat_memory(corpus):
-    reference = _probe("object", corpus["log"])
-    columnar = _probe("columnar", corpus["rpt"])
+    reference = run_probe(PROBE, "object", corpus["log"])
+    columnar = run_probe(PROBE, "columnar", corpus["rpt"])
     for key in CHECKSUM_KEYS:
         assert reference[key] == columnar[key], (
             f"{key}: object={reference[key]!r} columnar={columnar[key]!r} — "
@@ -139,7 +111,7 @@ def test_trace_replay_speedup_and_flat_memory(corpus):
         "generate_seconds": round(corpus["generate_seconds"], 2),
         "clf_convert_seconds": round(corpus["clf_seconds"], 2),
     }
-    _update_bench_json("replay", payload)
+    update_results("trace", "replay", payload, target_events=TARGET_EVENTS)
     print(
         f"replay prep over {corpus['events']} events: object "
         f"{reference['seconds']:.2f}s / columnar {columnar['seconds']:.2f}s "
@@ -176,7 +148,7 @@ def test_streaming_writer_throughput(corpus):
             corpus["rpt"].stat().st_size / events, 1
         ),
     }
-    _update_bench_json("write", payload)
+    update_results("trace", "write", payload, target_events=TARGET_EVENTS)
     print(
         f"streamed {events} events at "
         f"{payload['write_events_per_second']:.0f}/s, parsed CLF at "

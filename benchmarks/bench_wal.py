@@ -14,40 +14,27 @@ Measures the costs the durability tentpole is allowed to charge:
   restart time after a crash.
 
 ``REPRO_WAL_BENCH_EVENTS`` bounds the loadgen replays (default 20,000
-page views; CI smoke uses 4,000).  Results merge into
+page views, which CI runs too).  Results merge into
 ``benchmarks/results/BENCH_wal.json`` and are gated against
-``benchmarks/baselines/BENCH_wal.json`` by ``check_wal_regression.py``.
+``benchmarks/baselines/BENCH_wal.json`` by
+``python benchmarks/harness.py check wal``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import sys
 import time
 
 import pytest
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "benchmarks" / "results" / "BENCH_wal.json"
+from harness import update_results
 
 TARGET_EVENTS = int(os.environ.get("REPRO_WAL_BENCH_EVENTS", 20_000))
 #: Direct-append sample size (fixed: append cost is per-record).
 APPEND_RECORDS = 50_000
 #: Recovery-scan journal size.
 RECOVERY_RECORDS = 100_000
-
-
-def _update_bench_json(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_wal.json (tests are independent)."""
-    BENCH_JSON.parent.mkdir(exist_ok=True)
-    doc = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-    doc["target_events"] = TARGET_EVENTS
-    doc[section] = payload
-    BENCH_JSON.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _loadgen(wal_dir: str | None) -> dict:
@@ -94,7 +81,9 @@ def test_serving_overhead_with_journal(tmp_path):
         "latency_p99_ms_wal_off": off["latency_ms"]["p99"],
         "latency_p99_ms_wal_on": on["latency_ms"]["p99"],
     }
-    _update_bench_json("serving_overhead", payload)
+    update_results(
+        "wal", "serving_overhead", payload, target_events=TARGET_EVENTS
+    )
     print(
         f"loadgen {off['requests_per_s']:,.0f} req/s journal-off vs "
         f"{on['requests_per_s']:,.0f} req/s journal-on = "
@@ -132,7 +121,7 @@ def test_append_throughput_per_policy(tmp_path):
             f"append[{policy}]: {count / elapsed:,.0f} records/s "
             f"({journal.fsync_total} fsyncs)"
         )
-    _update_bench_json("append", payload)
+    update_results("wal", "append", payload, target_events=TARGET_EVENTS)
     assert all(entry["records_per_s"] > 0 for entry in payload.values())
     # batch fsyncs every ack; it cannot be faster than no syncing at all.
     assert payload["batch"]["fsyncs"] == payload["batch"]["records"]
@@ -163,7 +152,7 @@ def test_recovery_scan_rate(tmp_path):
         "records_per_s": round(recovery.records_replayed / elapsed, 1),
         "recovery_s": round(elapsed, 4),
     }
-    _update_bench_json("recovery", payload)
+    update_results("wal", "recovery", payload, target_events=TARGET_EVENTS)
     print(
         f"recovered {recovery.records_replayed} records from "
         f"{recovery.segments_scanned} segments in {elapsed:.2f}s "

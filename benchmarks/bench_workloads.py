@@ -17,22 +17,19 @@ Measures the tentpole claims of the ``repro.workloads`` subsystem:
 bounds the grid (default 150,000 events per scenario).  Results merge
 into ``benchmarks/results/BENCH_workloads.json`` and are gated against
 ``benchmarks/baselines/BENCH_workloads.json`` by
-``check_workload_regression.py``.
+``python benchmarks/harness.py check workloads``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import subprocess
 import sys
 
 import pytest
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-BENCH_JSON = REPO_ROOT / "benchmarks" / "results" / "BENCH_workloads.json"
-PROBE = REPO_ROOT / "benchmarks" / "workload_probe.py"
+from harness import run_probe, update_results
+
+PROBE = "workload_probe.py"
 
 #: Full-run streaming size; the 1.5x acceptance gate applies at >= this.
 FULL_EVENTS = 10_000_000
@@ -45,39 +42,17 @@ GRID_EVENTS = int(os.environ.get("REPRO_WORKLOAD_GRID_EVENTS", 150_000))
 #: Generator-rate sample size (fixed: rates are per-event, not per-run).
 RATE_EVENTS = min(TARGET_EVENTS, 100_000)
 
-
-def _update_bench_json(section: str, payload: dict) -> None:
-    """Merge one section into BENCH_workloads.json (tests are independent)."""
-    BENCH_JSON.parent.mkdir(exist_ok=True)
-    doc = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-    doc["target_events"] = TARGET_EVENTS
-    doc["grid_events"] = GRID_EVENTS
-    doc[section] = payload
-    BENCH_JSON.write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _probe(mode: str, workload: str, events: int, *extra: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
-    out = subprocess.run(
-        [sys.executable, str(PROBE), mode, workload, str(events), *extra],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=env,
-        cwd=str(REPO_ROOT / "benchmarks"),
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
+#: Run-size header of BENCH_workloads.json.
+SIZES = {"target_events": TARGET_EVENTS, "grid_events": GRID_EVENTS}
 
 
 def test_flat_rss_streaming_to_rpt(tmp_path):
     """Peak RSS of a .rpt stream must not grow with the event count."""
-    small = _probe(
-        "write", "flashcrowd", SMALL_EVENTS, str(tmp_path / "small.rpt")
+    small = run_probe(
+        PROBE, "write", "flashcrowd", SMALL_EVENTS, tmp_path / "small.rpt"
     )
-    big = _probe(
-        "write", "flashcrowd", TARGET_EVENTS, str(tmp_path / "big.rpt")
+    big = run_probe(
+        PROBE, "write", "flashcrowd", TARGET_EVENTS, tmp_path / "big.rpt"
     )
     flatness = big["hwm_kb"] / small["hwm_kb"]
     payload = {
@@ -89,7 +64,7 @@ def test_flat_rss_streaming_to_rpt(tmp_path):
         "write_events_per_s": big["events_per_s"],
         "big_file_bytes": (tmp_path / "big.rpt").stat().st_size,
     }
-    _update_bench_json("streaming", payload)
+    update_results("workloads", "streaming", payload, **SIZES)
     print(
         f"streamed {big['events']} events at {big['events_per_s']:.0f}/s; "
         f"peak RSS {big['hwm_kb']}KB vs {small['hwm_kb']}KB at "
@@ -110,14 +85,14 @@ def test_generation_rate_per_scenario():
 
     payload = {}
     for name in available_workloads():
-        result = _probe("generate", name, RATE_EVENTS)
+        result = run_probe(PROBE, "generate", name, RATE_EVENTS)
         payload[name] = {
             "events": result["events"],
             "events_per_s": result["events_per_s"],
             "hwm_kb": result["hwm_kb"],
         }
         print(f"{name}: {result['events_per_s']:,.0f} events/s")
-    _update_bench_json("generation", payload)
+    update_results("workloads", "generation", payload, **SIZES)
     assert all(entry["events_per_s"] > 0 for entry in payload.values())
 
 
@@ -162,7 +137,7 @@ def test_scenario_grid_quality_and_serving():
             f"standard hit {entry['hit_ratio_standard']:.3f}, "
             f"served {serving['requests_per_s']:.0f} req/s"
         )
-    _update_bench_json("grid", payload)
+    update_results("workloads", "grid", payload, **SIZES)
     assert len(payload) >= 5, "the default grid must cover 5 scenarios"
     assert all(entry["serve_failed"] == 0 for entry in payload.values())
     # The scenarios must actually stress the models differently: the

@@ -9,7 +9,9 @@ model's compact store, or the literal Fig. 1 node forest of
 * ``retained_kb`` — VmRSS growth across the build (model storage as the
   OS bills it), measured without tracemalloc so the tracer's own
   bookkeeping cannot distort it;
-* ``hwm_delta_kb`` — VmHWM (peak RSS) growth across the build;
+* ``hwm_delta_kb`` — VmHWM (peak RSS) growth across the build (the
+  benchmark records these two RSS readings only at full scale, where
+  the model dwarfs page granularity);
 * ``traced_peak_kb`` / ``traced_retained_kb`` — tracemalloc readings of
   a second, instrumented build: deterministic allocator-level numbers
   that stay meaningful at smoke scales where RSS granularity drowns the
@@ -22,28 +24,12 @@ build's, or vice versa.
 
 from __future__ import annotations
 
-import ctypes
 import gc
 import json
 import sys
 import tracemalloc
 
-
-def trim_heap() -> None:
-    """Hand freed arena pages back to the OS so VmRSS reflects live data."""
-    gc.collect()
-    try:
-        ctypes.CDLL("libc.so.6").malloc_trim(0)
-    except OSError:  # pragma: no cover - non-glibc platforms
-        pass
-
-
-def rss_kb(field: str = "VmRSS") -> int:
-    with open("/proc/self/status", encoding="ascii") as status:
-        for line in status:
-            if line.startswith(field + ":"):
-                return int(line.split()[1])
-    return 0
+from harness import rss_kb, trim_heap
 
 
 def build(model_name: str, compact: bool, sessions, popularity):

@@ -27,7 +27,7 @@ import sys
 import tempfile
 import time
 
-from memory_probe import rss_kb
+from harness import rss_kb
 
 
 def main(argv: "list[str]") -> int:

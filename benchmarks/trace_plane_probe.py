@@ -26,13 +26,7 @@ import math
 import sys
 import time
 
-
-def rss_kb(field: str = "VmHWM") -> int:
-    with open("/proc/self/status", encoding="ascii") as status:
-        for line in status:
-            if line.startswith(field + ":"):
-                return int(line.split()[1])
-    return 0
+from harness import rss_kb
 
 
 def probe_object(path: str) -> dict:

@@ -22,7 +22,7 @@ import json
 import sys
 import time
 
-from memory_probe import rss_kb, trim_heap
+from harness import rss_kb, trim_heap
 
 
 def main(argv: "list[str]") -> int:
