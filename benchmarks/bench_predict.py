@@ -12,12 +12,16 @@ ratios in ``benchmarks/results/BENCH_predict.json``:
   headline ratio.
 * ``cursor_replay`` — the full incremental loop (advance + predict per
   click) over the same sessions.
+* ``compile`` — building the table itself for the lab's standard tree,
+  the largest model: the per-row ``sorted`` reference compile of
+  ``tests/oracle.py`` versus the lexsort of ``compile_predict_table``.
 
-Totals are asserted identical between the two arms before any ratio is
-trusted.  In-test floors are CI-safe; the committed artifact records the
-real numbers and ``python benchmarks/harness.py check predict`` gates the
-ratios against ``benchmarks/baselines/BENCH_predict.json``.  Serving
-speed is measured end to end by ``perfbench``'s ``serve-wal`` workload.
+Totals (for ``compile``, every table array) are asserted identical
+between the two arms before any ratio is trusted.  In-test floors are
+CI-safe; the committed artifact records the real numbers and
+``python benchmarks/harness.py check predict`` gates the ratios against
+``benchmarks/baselines/BENCH_predict.json``.  Serving speed is measured
+end to end by ``perfbench``'s ``serve-wal`` workload.
 """
 
 import time
@@ -26,6 +30,7 @@ from harness import update_results
 from repro import params
 from repro.experiments import get_lab
 from repro.experiments.lab import bench_scale
+from repro.kernel.predict_table import compile_predict_table
 
 THRESHOLD = params.PREDICTION_PROBABILITY_THRESHOLD
 
@@ -152,3 +157,34 @@ def test_cursor_replay_speedup():
         f"compiled {on_seconds:.4f}s speedup {speedup:.2f}x"
     )
     assert speedup >= (1.8 if bench_scale() >= 1.0 else 1.2)
+
+
+def test_compile_speedup():
+    """The standard tree's table: one lexsort vs one sort per row."""
+    from tests import oracle
+
+    lab = get_lab("nasa-like", 6)
+    model = lab.model("standard", 5)
+    store, symbols = model._store, model._symbols
+    reference_seconds, want = _best_of(
+        lambda: oracle.compile_predict_table(store, symbols)
+    )
+    compiled_seconds, got = _best_of(lambda: compile_predict_table(store, symbols))
+    assert got.to_buffer() == want.to_buffer(), "compiled table diverged"
+    speedup = reference_seconds / compiled_seconds
+    update_results(
+        "predict",
+        "compile",
+        {
+            "nodes": store.node_count,
+            "reference_seconds": round(reference_seconds, 5),
+            "compiled_seconds": round(compiled_seconds, 5),
+            "speedup": round(speedup, 2),
+        },
+        scale=bench_scale(),
+    )
+    print(
+        f"compile: reference {reference_seconds:.5f}s "
+        f"compiled {compiled_seconds:.5f}s speedup {speedup:.2f}x"
+    )
+    assert speedup >= (4.0 if bench_scale() >= 1.0 else 2.0)

@@ -20,6 +20,8 @@ from __future__ import annotations
 from array import array
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.node import TrieNode
     from repro.kernel.symbols import SymbolTable
@@ -323,26 +325,17 @@ class CompactTrie:
         self.used = bytearray(len(self.used))
 
     def path_stats(self) -> tuple[int, int]:
-        """``(leaf paths, used leaf paths)`` — Figure 2's utilisation input."""
-        total = 0
-        used_total = 0
-        first = self.first_child
-        sibling = self.next_sibling
-        used = self.used
-        for root in self.roots.values():
-            stack = [root]
-            while stack:
-                idx = stack.pop()
-                child = first[idx]
-                if child == _NO_NODE:
-                    total += 1
-                    if used[idx]:
-                        used_total += 1
-                else:
-                    while child != _NO_NODE:
-                        stack.append(child)
-                        child = sibling[child]
-        return total, used_total
+        """``(leaf paths, used leaf paths)`` — Figure 2's utilisation input.
+
+        Every slot of a dense store is live, so the leaf paths are the
+        slots without a first child; a store with garbage slots is
+        compacted first.
+        """
+        if len(self.syms) != self._live:
+            return self.compacted().path_stats()
+        leaves = np.frombuffer(self.first_child, dtype=np.int64) == _NO_NODE
+        used = np.frombuffer(self.used, dtype=np.uint8)[leaves]
+        return int(np.count_nonzero(leaves)), int(np.count_nonzero(used))
 
     def leaf_paths(self, symbols: "SymbolTable") -> list[tuple[str, ...]]:
         """Every root-to-leaf URL path, roots and children in URL order."""

@@ -45,13 +45,14 @@ compile (:data:`COMPILE_COUNT` lets tests assert exactly that).
 from __future__ import annotations
 
 import struct
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro import params
 from repro.core.prediction import Prediction, clears_threshold
 from repro.kernel.compact import KEY_SHIFT, CompactTrie
+from repro.kernel.symbols import SymbolTable, string_ranks
 from repro.validation import (
     checksum,
     require_checksum,
@@ -59,9 +60,6 @@ from repro.validation import (
     require_magic,
     require_version,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kernel.symbols import SymbolTable
 
 #: Magic prefix of every serialised prediction table.
 TABLE_BUFFER_MAGIC = b"RPPT"
@@ -439,10 +437,19 @@ def compile_predict_table(
 ) -> PredictTable | None:
     """Flatten a compact store into a :class:`PredictTable`.
 
-    Returns None for a store with garbage slots (after deletions and
-    before :meth:`~repro.kernel.compact.CompactTrie.compacted`): its node
+    Transitions and context rows are whole-array passes: one argsort of
+    the packed edge keys, and one stable lexsort that groups the
+    qualifying children by parent and orders each row by
+    ``(-probability, url)``.  The URL tie-break ranks symbols in Python
+    string order (:func:`~repro.kernel.symbols.string_ranks`), exactly
+    as the uncompiled walk compares them.  Only PB-PPM's special rows
+    keep a loop, over the roots that carry special links.
+
+    Returns None for a store with garbage slots (left by
+    ``delete_child`` / ``delete_root`` and the per-pass prune functions,
+    until :meth:`~repro.kernel.compact.CompactTrie.compacted`): its node
     indices would not survive densification, and every path that serves
-    predictions — fresh fits, pruned dense stores, buffer mappings —
+    predictions — fresh fits, ``prune_dense`` output, buffer mappings —
     is dense already.
     """
     n = len(store.syms)
@@ -462,9 +469,10 @@ def compile_predict_table(
     trans_keys = keys[order]
     trans_child = order.astype(np.int64)
 
-    # Context rows: qualifying children grouped per parent.  The
-    # division below is the same int64 / int64 -> float64 the uncompiled
-    # path performs per request, so probabilities are bit-identical.
+    # Context rows: the qualifying children, grouped per parent and
+    # ordered by (-probability, url) in one stable lexsort.  The division
+    # below is the same int64 / int64 -> float64 the uncompiled path
+    # performs per request, so probabilities are bit-identical.
     non_root = parents >= 0
     parent_idx = np.where(non_root, parents, 0)
     parent_counts = counts[parent_idx]
@@ -476,29 +484,14 @@ def compile_predict_table(
         & (probs + params.PROBABILITY_EPSILON >= threshold)
     )
     cand = np.nonzero(qualify)[0]
-    grouped = cand[np.argsort(parents[cand], kind="stable")]
-    row_counts = np.bincount(parents[cand], minlength=n) if len(cand) else (
-        np.zeros(n, dtype=np.int64)
-    )
+    url_rank = string_ranks(symbols.urls())
+    ctx_child = cand[
+        np.lexsort((url_rank[syms[cand]], -probs[cand], parents[cand]))
+    ]
+    ctx_sym = syms[ctx_child]
+    ctx_prob = probs[ctx_child]
     ctx_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(row_counts, out=ctx_offsets[1:])
-    ctx_child = np.empty(len(grouped), dtype=np.int64)
-    ctx_sym = np.empty(len(grouped), dtype=np.int64)
-    ctx_prob = np.empty(len(grouped), dtype=np.float64)
-    grouped_list = grouped.tolist()
-    grouped_probs = probs[grouped].tolist()
-    grouped_syms = syms[grouped].tolist()
-    offsets_list = ctx_offsets.tolist()
-    for parent in np.nonzero(row_counts)[0].tolist():
-        lo, hi = offsets_list[parent], offsets_list[parent + 1]
-        entries = sorted(
-            range(lo, hi),
-            key=lambda i: (-grouped_probs[i], url_of(grouped_syms[i])),
-        )
-        for out_pos, i in enumerate(entries, start=lo):
-            ctx_child[out_pos] = grouped_list[i]
-            ctx_sym[out_pos] = grouped_syms[i]
-            ctx_prob[out_pos] = grouped_probs[i]
+    np.cumsum(np.bincount(parents[cand], minlength=n), out=ctx_offsets[1:])
 
     # Special rows: PB-PPM's per-root linked predictions, aggregated by
     # URL, gated by the special-link threshold, with the contributing

@@ -3,12 +3,16 @@
 Every distinct URL is assigned one id, in first-seen order, so the trie
 kernels can key children on machine integers.  Ids are dense (``0..n-1``),
 which lets grade tables and other per-URL side data live in flat lists
-indexed by symbol instead of string-keyed dicts.
+indexed by symbol instead of string-keyed dicts.  Because ids follow first
+appearance, not string order, :func:`string_ranks` gives the vectorised
+sorts (trace plane, predict-table compile) a per-id rank in string order.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class SymbolTable:
@@ -87,3 +91,20 @@ class SymbolTable:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"SymbolTable({len(self._urls)} urls)"
+
+
+def string_ranks(table: Sequence[str]) -> np.ndarray:
+    """Lexicographic rank of each table entry, by Python string order.
+
+    Sorting interned *ids* would order URLs by first appearance; the object
+    paths order by the strings themselves, so vectorised sorts map ids
+    through these ranks to reproduce ``sorted(...)`` exactly.  The ranks
+    come from Python's own ``sorted``: a numpy unicode array strips
+    trailing NULs, so its order can differ.
+    """
+    order = sorted(range(len(table)), key=table.__getitem__)
+    ranks = np.empty(len(table), dtype=np.int64)
+    ranks[np.asarray(order, dtype=np.int64)] = np.arange(
+        len(table), dtype=np.int64
+    )
+    return ranks

@@ -60,7 +60,7 @@ import numpy as np
 
 from repro import params
 from repro.errors import ModelError
-from repro.kernel.symbols import SymbolTable
+from repro.kernel.symbols import SymbolTable, string_ranks
 from repro.trace.filetypes import UrlKind, classify_url
 from repro.trace.record import EmbeddedObject, LogRecord, Request
 from repro.trace.sessions import Session
@@ -93,21 +93,6 @@ _SECONDS_PER_DAY = 86_400.0
 
 def _padded(length: int) -> int:
     return (length + 7) & ~7
-
-
-def _string_ranks(table: Sequence[str]) -> np.ndarray:
-    """Lexicographic rank of each table entry, by Python string order.
-
-    Sorting interned *ids* would order URLs by first appearance; the object
-    path orders by the strings themselves, so the vectorised sorts map ids
-    through these ranks to reproduce ``sorted(...)`` exactly.
-    """
-    order = sorted(range(len(table)), key=table.__getitem__)
-    ranks = np.empty(len(table), dtype=np.int64)
-    ranks[np.asarray(order, dtype=np.int64)] = np.arange(
-        len(table), dtype=np.int64
-    )
-    return ranks
 
 
 def _encode_table(table: Sequence[str]) -> tuple[bytes, np.ndarray]:
@@ -749,8 +734,8 @@ def successful_get_mask(columns: TraceColumns) -> np.ndarray:
 def record_sort_order(columns: TraceColumns) -> np.ndarray:
     """Indices ordering rows by ``(timestamp, client, url)`` — the exact
     (stable) order of :func:`repro.trace.record.sort_records`."""
-    client_rank = _string_ranks(columns.client_table)[columns.clients]
-    url_rank = _string_ranks(columns.url_table)[columns.urls]
+    client_rank = string_ranks(columns.client_table)[columns.clients]
+    url_rank = string_ranks(columns.url_table)[columns.urls]
     return np.lexsort((url_rank, client_rank, columns.timestamps))
 
 
@@ -812,7 +797,7 @@ class RequestColumns:
     def client_ranks(self) -> np.ndarray:
         """Per-row lexicographic client rank (cached)."""
         if self._client_ranks is None:
-            self._client_ranks = _string_ranks(self.client_table)[self.clients]
+            self._client_ranks = string_ranks(self.client_table)[self.clients]
         return self._client_ranks
 
     def url_counts(self) -> np.ndarray:
@@ -878,7 +863,7 @@ def fold_request_columns(
     """
     n = len(columns)
     order = np.argsort(
-        _string_ranks(columns.client_table)[columns.clients], kind="stable"
+        string_ranks(columns.client_table)[columns.clients], kind="stable"
     )
     ts = columns.timestamps[order]
     clients = columns.clients[order]
@@ -917,8 +902,8 @@ def fold_request_columns(
     g_ts = ts[generator_rows]
     g_clients = clients[generator_rows]
     g_urls = columns.urls[order][generator_rows]
-    g_rank_c = _string_ranks(columns.client_table)[g_clients]
-    g_rank_u = _string_ranks(columns.url_table)[g_urls]
+    g_rank_c = string_ranks(columns.client_table)[g_clients]
+    g_rank_u = string_ranks(columns.url_table)[g_urls]
     final = np.lexsort((g_rank_u, g_rank_c, g_ts))
 
     counts = emb_count[generator_rows][final]
@@ -1018,7 +1003,7 @@ def session_layout(
 
     start_times = ts[starts]
     client_ids = clients[starts]
-    rank_of = _string_ranks(requests.client_table)
+    rank_of = string_ranks(requests.client_table)
     order = np.lexsort((rank_of[client_ids], start_times))
     return SessionLayout(
         grouped=grouped,
@@ -1145,7 +1130,7 @@ class RequestBatch:
             (r.total_bytes for r in requests), dtype=np.int64, count=len(requests)
         )
         client_table = clients.urls()
-        order = np.lexsort((_string_ranks(client_table)[client_ids], ts))
+        order = np.lexsort((string_ranks(client_table)[client_ids], ts))
         return cls(
             timestamps=ts[order],
             clients=client_ids[order],

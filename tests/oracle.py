@@ -14,6 +14,11 @@ per URL:
 * the two space-optimisation passes of Section 3.4;
 * longest-match prediction (Section 4.1) and PB-PPM's merged multi-level
   prediction plus special links;
+* the predict-table compile with one Python ``sorted`` per context row,
+  and the Figure 2 path count as a stack walk from every root, both over
+  the compact store — the references for the vectorised
+  :func:`~repro.kernel.predict_table.compile_predict_table` and
+  :meth:`~repro.kernel.compact.CompactTrie.path_stats`;
 * :class:`ReferenceTrace`, the trace derivations of
   :class:`~repro.trace.dataset.Trace` (filter, sort, embedded-object fold,
   sessionisation, day split, per-URL and per-client tables) computed one
@@ -32,6 +37,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro import params
 from repro.core.extras import FirstOrderMarkov
 from repro.core.lrs import LRSPPM
@@ -42,6 +49,9 @@ from repro.core.prediction import Prediction, clears_threshold
 from repro.core.standard import StandardPPM
 from repro.core.stats import node_count, path_utilization, reset_usage
 from repro.errors import TraceError
+from repro.kernel.compact import KEY_SHIFT, CompactTrie
+from repro.kernel.predict_table import PredictTable, _as_int64
+from repro.kernel.symbols import SymbolTable
 from repro.trace.columnar import TraceColumns
 from repro.trace.dataset import SECONDS_PER_DAY, TrainTestSplit
 from repro.trace.embedding import fold_embedded_objects
@@ -468,6 +478,159 @@ def predict_pb(
                 if linked.url in fired:
                     linked.used = True
     return sorted(predictions.values(), key=_sort_key)
+
+
+# ---------------------------------------------------------------------------
+# The reference table compile and path walk over the compact store
+# ---------------------------------------------------------------------------
+
+
+def compile_predict_table(
+    store: CompactTrie,
+    symbols: SymbolTable,
+    *,
+    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
+    special_threshold: float = params.SPECIAL_LINK_THRESHOLD,
+) -> PredictTable | None:
+    """The compile with one Python ``sorted`` per context row.
+
+    Every row is ordered by ``(-probability, url_of(sym))`` exactly as the
+    uncompiled walk sorts its candidates, so the production compile's
+    lexsort must reproduce these arrays value for value and dtype for
+    dtype.
+    """
+    n = len(store.syms)
+    if n != store.node_count:
+        return None
+    url_of = symbols.url
+    syms = _as_int64(store.syms)
+    counts = _as_int64(store.counts)
+    parents = _as_int64(store.parents)
+
+    # Transitions: every edge (roots included, parent -1 packs to slot 0)
+    # as one sorted key array for searchsorted probes.
+    keys = ((parents + 1) << KEY_SHIFT) | syms
+    order = np.argsort(keys, kind="stable")
+    trans_keys = keys[order]
+    trans_child = order.astype(np.int64)
+
+    # Context rows: qualifying children grouped per parent.  The
+    # division below is the same int64 / int64 -> float64 the uncompiled
+    # path performs per request, so probabilities are bit-identical.
+    non_root = parents >= 0
+    parent_idx = np.where(non_root, parents, 0)
+    parent_counts = counts[parent_idx]
+    probs = np.zeros(n, dtype=np.float64)
+    np.divide(counts, parent_counts, out=probs, where=parent_counts > 0)
+    qualify = (
+        non_root
+        & (parent_counts > 0)
+        & (probs + params.PROBABILITY_EPSILON >= threshold)
+    )
+    cand = np.nonzero(qualify)[0]
+    grouped = cand[np.argsort(parents[cand], kind="stable")]
+    row_counts = np.bincount(parents[cand], minlength=n) if len(cand) else (
+        np.zeros(n, dtype=np.int64)
+    )
+    ctx_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=ctx_offsets[1:])
+    ctx_child = np.empty(len(grouped), dtype=np.int64)
+    ctx_sym = np.empty(len(grouped), dtype=np.int64)
+    ctx_prob = np.empty(len(grouped), dtype=np.float64)
+    grouped_list = grouped.tolist()
+    grouped_probs = probs[grouped].tolist()
+    grouped_syms = syms[grouped].tolist()
+    offsets_list = ctx_offsets.tolist()
+    for parent in np.nonzero(row_counts)[0].tolist():
+        lo, hi = offsets_list[parent], offsets_list[parent + 1]
+        entries = sorted(
+            range(lo, hi),
+            key=lambda i: (-grouped_probs[i], url_of(grouped_syms[i])),
+        )
+        for out_pos, i in enumerate(entries, start=lo):
+            ctx_child[out_pos] = grouped_list[i]
+            ctx_sym[out_pos] = grouped_syms[i]
+            ctx_prob[out_pos] = grouped_probs[i]
+
+    # Special rows: PB-PPM's per-root linked predictions, aggregated by
+    # URL, gated by the special-link threshold, with the contributing
+    # node indices kept per row for usage marking.
+    counts_list = counts.tolist()
+    syms_list = syms.tolist()
+    spc_row_counts = np.zeros(n, dtype=np.int64)
+    spc_sym_list: list[int] = []
+    spc_prob_list: list[float] = []
+    spl_offsets_list: list[int] = [0]
+    spl_nodes_list: list[int] = []
+    for root in sorted(store.special_links):
+        total = counts_list[root]
+        if total <= 0:
+            continue
+        aggregated: dict[int, int] = {}
+        groups: dict[int, list[int]] = {}
+        for linked in store.special_links[root]:
+            sym = syms_list[linked]
+            aggregated[sym] = aggregated.get(sym, 0) + counts_list[linked]
+            groups.setdefault(sym, []).append(linked)
+        entries = []
+        for sym, aggregate in aggregated.items():
+            probability = min(1.0, aggregate / total)
+            if clears_threshold(probability, special_threshold):
+                entries.append((probability, sym))
+        if not entries:
+            continue
+        entries.sort(key=lambda e: (-e[0], url_of(e[1])))
+        spc_row_counts[root] = len(entries)
+        for probability, sym in entries:
+            spc_sym_list.append(sym)
+            spc_prob_list.append(probability)
+            spl_nodes_list.extend(groups[sym])
+            spl_offsets_list.append(len(spl_nodes_list))
+    spc_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(spc_row_counts, out=spc_offsets[1:])
+
+    return PredictTable(
+        threshold=threshold,
+        special_threshold=special_threshold,
+        ctx_offsets=ctx_offsets,
+        ctx_sym=ctx_sym,
+        ctx_prob=ctx_prob,
+        ctx_child=ctx_child,
+        spc_offsets=spc_offsets,
+        spc_sym=np.asarray(spc_sym_list, dtype=np.int64),
+        spc_prob=np.asarray(spc_prob_list, dtype=np.float64),
+        spl_offsets=np.asarray(spl_offsets_list, dtype=np.int64),
+        spl_nodes=np.asarray(spl_nodes_list, dtype=np.int64),
+        trans_keys=trans_keys,
+        trans_child=trans_child,
+    )
+
+
+def path_stats(store: CompactTrie) -> tuple[int, int]:
+    """``(leaf paths, used leaf paths)`` by a stack walk from every root.
+
+    Only reachable nodes are visited, so garbage slots left by deletions
+    never count.
+    """
+    total = 0
+    used_total = 0
+    first = store.first_child
+    sibling = store.next_sibling
+    used = store.used
+    for root in store.roots.values():
+        stack = [root]
+        while stack:
+            idx = stack.pop()
+            child = first[idx]
+            if child == -1:
+                total += 1
+                if used[idx]:
+                    used_total += 1
+            else:
+                while child != -1:
+                    stack.append(child)
+                    child = sibling[child]
+    return total, used_total
 
 
 # ---------------------------------------------------------------------------

@@ -65,3 +65,27 @@ def test_traced_run_wraps_every_layer(perfbench_modules):
         tracer.uninstall()
     for (owner, attr), original in originals.items():
         assert owner.__dict__[attr] is original
+
+
+def test_traced_model_compile_goes_through_the_wrapper(perfbench_modules):
+    """A model resolves the compiler through the module attribute the
+    tracer patches, so ``kernel.compile_s`` sees every compile.
+
+    A module-level ``from ... import compile_predict_table`` in the model
+    layer would bypass the wrapper and move the compile time silently into
+    ``core.predict_s``.
+    """
+    from repro.core.standard import StandardPPM
+
+    from tests.helpers import make_sessions
+
+    batch_child, _serve_child, tracer_module = perfbench_modules
+    tracer = tracer_module.Tracer()
+    try:
+        batch_child.install(tracer)
+        model = StandardPPM().fit(make_sessions([["a", "b", "c"], ["a", "b", "d"]]))
+        model.predict(["a"])
+        assert tracer.calls["kernel.compile"] == 1
+        assert tracer.values["kernel.table_bytes"] > 0
+    finally:
+        tracer.uninstall()
