@@ -107,7 +107,6 @@ def test_scenario_grid_quality_and_serving():
                 "events": 400,
                 "train_events": 1_500,
                 "connections": 2,
-                "workers": 1,
             },
         },
         events=GRID_EVENTS,

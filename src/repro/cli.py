@@ -500,21 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=params.SERVE_WAL_SEGMENT_MAX_AGE_S,
         help="rotate journal segments at this age in seconds",
     )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help=(
-            "worker processes sharing one read-only model segment "
-            "(>= 2 enables shared-memory multi-process serving)"
-        ),
-    )
-    serve.add_argument(
-        "--socket-mode",
-        choices=("auto", "reuseport", "inherit"),
-        default="auto",
-        help="how multi-process workers share the port (needs --workers >= 2)",
-    )
 
     loadgen = sub.add_parser(
         "loadgen",
@@ -566,12 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--refresh-mid-run",
         action="store_true",
         help="fire POST /admin/refresh halfway through (hot-swap under load)",
-    )
-    loadgen.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the spawned server (needs --spawn)",
     )
     loadgen.add_argument(
         "--wal-dir",
@@ -914,7 +893,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.multiproc import MultiprocServer
     from repro.serve.server import PrefetchServer
     from repro.serve.snapshot import restore_snapshot_state
 
@@ -934,12 +912,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         kwargs["wal_fsync"] = args.wal_fsync
         kwargs["wal_segment_max_bytes"] = args.wal_segment_bytes
         kwargs["wal_segment_max_age_s"] = args.wal_segment_age
-    if args.workers >= 2:
-        kwargs["workers"] = args.workers
-        kwargs["socket_mode"] = args.socket_mode
-        server_class = MultiprocServer
-    else:
-        server_class = PrefetchServer
     # Forgiving boot: a corrupt snapshot is quarantined (-> *.corrupt-NNNN,
     # see restore_snapshot_state's log line) and the server bootstraps
     # fresh instead of refusing to start.
@@ -950,7 +922,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if model is not None:
         print(f"restoring model from {args.snapshot}", file=sys.stderr)
-        server = server_class(model, **kwargs)
+        server = PrefetchServer(model, **kwargs)
     else:
         trace = _load_trace(
             f"synth:{args.profile}", args.train_days, args.seed, args.scale
@@ -959,7 +931,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"bootstrapping from {args.train_days} day(s) of {args.profile}",
             file=sys.stderr,
         )
-        server = server_class(bootstrap_sessions=list(trace.sessions), **kwargs)
+        server = PrefetchServer(bootstrap_sessions=list(trace.sessions), **kwargs)
     if args.wal_dir is not None:
         # Replay everything journalled past the snapshot boundary before
         # accepting traffic: acknowledged reports survive a crash.
@@ -996,7 +968,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         refresh_mid_run=args.refresh_mid_run,
         spawn=args.spawn,
-        workers=args.workers,
         wal_dir=args.wal_dir,
         wal_fsync=args.wal_fsync,
         out=args.out,

@@ -119,9 +119,7 @@ class PPMModel(ABC):
         None only while the store has garbage slots (see
         :func:`~repro.kernel.predict_table.compile_predict_table`).  The
         result — including None — is cached against the mutation counter,
-        so a model compiles at most once per structural generation;
-        buffer-mapped models arrive with the supervisor's precompiled
-        table already cached and never compile at all.
+        so a model compiles at most once per structural generation.
         """
         if self._table_mutations != self._mutations:
             from repro.kernel.predict_table import compile_predict_table
@@ -184,14 +182,6 @@ class PPMModel(ABC):
 
     def _match_states(self, context: Sequence[str]) -> list:
         """Batch suffix-match states for a cursor resync."""
-        if not self._store.has_child_map:
-            # Buffer-mapped store: match through the compiled table's
-            # transition array rather than forcing the O(n) child-map
-            # build the mapping deliberately skipped.
-            table = self._compiled_table()
-            if table is not None:
-                get_sym = self._symbols.get
-                return table.match_states([get_sym(url) for url in context])
         return [
             (idx, path)
             for idx, _order, path in compact_suffix_matches(
@@ -205,10 +195,6 @@ class PPMModel(ABC):
         sym = self._symbols.get(url)
         if sym is None:
             return []
-        if not store.has_child_map:
-            table = self._compiled_table()
-            if table is not None:
-                return table.advance_states(states, sym)
         children = store.children
         advanced = []
         for handle, path in states:

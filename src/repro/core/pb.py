@@ -40,7 +40,6 @@ from repro.core.prediction import (
     PredictionCursor,
     clears_threshold,
     compact_suffix_matches,
-    table_suffix_matches,
 )
 from repro.kernel.bulk import build_branch_trie, dedup_sequences, symbol_grades
 from repro.kernel.prune import prune_dense
@@ -237,14 +236,10 @@ class PopularityBasedPPM(PPMModel):
         del escape
         if not context:
             return []
+        matches = compact_suffix_matches(self._store, self._symbols, context)
         table = self._table_for(threshold)
         if table is not None:
-            if self._store.has_child_map:
-                matches = compact_suffix_matches(self._store, self._symbols, context)
-            else:
-                matches = table_suffix_matches(table, self._symbols, context)
             return self._predict_table(matches, context[-1], mark_used, table)
-        matches = compact_suffix_matches(self._store, self._symbols, context)
         return self._predict_compact(matches, context[-1], threshold, mark_used)
 
     def predict_cursor(
@@ -324,12 +319,7 @@ class PopularityBasedPPM(PPMModel):
                             path_marked = True
                         used[child] = 1
         last_sym = self._symbols.get(last_url)
-        if last_sym is None:
-            root = None
-        elif store.has_child_map:
-            root = store.roots.get(last_sym)
-        else:
-            root = table.root_index(last_sym)
+        root = store.roots.get(last_sym) if last_sym is not None else None
         if root is not None:
             row, groups = table.special_row(root, url_of)
             for prediction, group in zip(row, groups):

@@ -206,25 +206,8 @@ def predict_from_compact_context(
 
 
 # --------------------------------------------------------------------------
-# Compiled-table matching
+# Compiled-table prediction
 # --------------------------------------------------------------------------
-
-
-def table_suffix_matches(
-    table: "PredictTable", symbols: "SymbolTable", context: Sequence[str]
-) -> "list[tuple[int, int, list[int]]]":
-    """All full-suffix matches of ``context`` via a compiled table.
-
-    The transition-array twin of :func:`compact_suffix_matches` — same
-    ``(matched_index, suffix_length, indices_on_match_path)`` elements,
-    longest suffix first — for stores whose packed child map was never
-    built (buffer-mapped serving workers).
-    """
-    get_sym = symbols.get
-    ids = [get_sym(url) for url in context]
-    return [
-        (idx, len(path), path) for idx, path in table.match_states(ids)
-    ]
 
 
 def predict_from_table_matches(
@@ -275,22 +258,16 @@ def predict_from_table_context(
 ) -> list[Prediction]:
     """Batch longest-match prediction via a compiled table.
 
-    Uses the packed child map for matching when the store has one built
-    (in-process models) and the table's transition array otherwise
-    (buffer-mapped workers, where building the map would cost an O(n)
-    pass per remap).
+    Matching walks the store's packed child map, as the uncompiled path
+    does; only the prediction step reads the table's rows.
     """
     if not context:
         return []
-    if store.has_child_map:
-        matches = compact_suffix_matches(store, symbols, context)
-    else:
-        matches = table_suffix_matches(table, symbols, context)
     return predict_from_table_matches(
         store,
         table,
         symbols,
-        matches,
+        compact_suffix_matches(store, symbols, context),
         mark_used=mark_used,
         escape=escape,
     )

@@ -15,10 +15,8 @@ one.
 from __future__ import annotations
 
 import json
-import struct
 from typing import Any, IO
 
-from repro import params
 from repro.core.base import PPMModel
 from repro.core.extras import FirstOrderMarkov, TopNPush
 from repro.core.lrs import LRSPPM
@@ -27,26 +25,12 @@ from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
 from repro.core.standard import StandardPPM
 from repro.errors import ModelError
-from repro.kernel.buffer import trie_from_buffer, trie_to_buffer
 from repro.kernel.compact import CompactTrie
 from repro.kernel.symbols import SymbolTable
-from repro.validation import (
-    checksum,
-    require_checksum,
-    require_length,
-    require_magic,
-    require_version,
-)
+from repro.validation import require_version
 
 #: Format version written into every document.
 FORMAT_VERSION = 1
-
-#: Magic and format version of the binary model buffer (the shared-memory
-#: serving plane; see :func:`model_to_buffer`).
-MODEL_BUFFER_MAGIC = b"RPBM"
-MODEL_BUFFER_VERSION = 2
-
-_MODEL_HEADER = struct.Struct("<4sIIIQQQ")
 
 
 def _node_to_dict(node: TrieNode, link_paths: dict[int, list[str]]) -> dict:
@@ -241,118 +225,6 @@ def loads_model(text: str) -> PPMModel:
     except ValueError as exc:
         raise ModelError(f"model document is not valid JSON: {exc}") from exc
     return load_model(payload)
-
-
-def model_to_buffer(model: PPMModel) -> bytes:
-    """Serialise a fitted model into one contiguous binary buffer.
-
-    The shared-memory twin of :func:`dump_model`: a fixed header (magic,
-    version, CRC-32 checksum), a JSON metadata blob (model class,
-    constructor metadata, the interned URL table), the compact trie's
-    :func:`~repro.kernel.buffer.trie_to_buffer` block and the compiled
-    prediction table's
-    :meth:`~repro.kernel.predict_table.PredictTable.to_buffer` block.  One
-    such buffer is what ``repro.serve.multiproc`` writes into a
-    shared-memory segment for every worker process to map read-only;
-    compiling here, once, at serialisation time is what lets workers map
-    the table zero-copy and never compile themselves.
-    """
-    if not model.is_fitted:
-        raise ModelError("cannot serialise an unfitted model")
-    store, symbols = model._store, model._symbols
-    if len(store.syms) == store.node_count:
-        # Go through the model's cache so the supervisor compiles at most
-        # once even when it both serves and serialises the same model.
-        table = model._compiled_table()
-    else:
-        # Densify once, up front, so the trie block and the compiled
-        # table are built from the same node numbering.
-        from repro.kernel.predict_table import compile_predict_table
-
-        store = store.compacted()
-        table = compile_predict_table(
-            store,
-            symbols,
-            special_threshold=getattr(
-                model, "special_link_threshold", params.SPECIAL_LINK_THRESHOLD
-            ),
-        )
-    meta = json.dumps(
-        {
-            "class": type(model).__name__,
-            "meta": _model_metadata(model),
-            "urls": list(symbols.urls()),
-        },
-        separators=(",", ":"),
-    ).encode()
-    pad = (-len(meta)) % 8
-    trie = trie_to_buffer(store)
-    table_blob = table.to_buffer()
-    payload = meta + b"\x00" * pad + trie + table_blob
-    header = _MODEL_HEADER.pack(
-        MODEL_BUFFER_MAGIC,
-        MODEL_BUFFER_VERSION,
-        checksum(payload),
-        0,
-        len(meta),
-        len(trie),
-        len(table_blob),
-    )
-    return header + payload
-
-
-def model_from_buffer(
-    data: bytes | bytearray | memoryview, *, copy: bool = False
-) -> PPMModel:
-    """Reconstruct a model from :func:`model_to_buffer` bytes.
-
-    Zero-copy by default: the restored model's trie arrays are read-only
-    views into ``data`` (keep the underlying segment alive for the
-    model's lifetime, and treat the model as read-only — serve it, don't
-    fold into it).  ``copy=True`` builds a private mutable model.
-
-    Every malformation — bad magic, unsupported version, truncation,
-    checksum mismatch, broken metadata — raises
-    :class:`~repro.errors.ModelError`, through the same validation
-    helpers :func:`load_model` uses.
-    """
-    view = memoryview(data).toreadonly().cast("B")
-    require_length(len(view), _MODEL_HEADER.size, "model buffer")
-    magic, version, stored_crc, _reserved, meta_len, trie_len, table_len = (
-        _MODEL_HEADER.unpack_from(view)
-    )
-    require_magic(magic, MODEL_BUFFER_MAGIC, "model buffer")
-    require_version(version, MODEL_BUFFER_VERSION, "model buffer version")
-    pad = (-meta_len) % 8
-    payload_len = meta_len + pad + trie_len + table_len
-    require_length(len(view) - _MODEL_HEADER.size, payload_len, "model buffer")
-    payload = view[_MODEL_HEADER.size : _MODEL_HEADER.size + payload_len]
-    require_checksum(stored_crc, checksum(payload), "model buffer")
-    try:
-        meta = json.loads(bytes(payload[:meta_len]))
-    except ValueError as exc:
-        raise ModelError(f"model buffer metadata is not valid JSON: {exc}") from exc
-    try:
-        model = _construct(meta["class"], meta.get("meta", {}))
-        symbols = SymbolTable(meta.get("urls", ()))
-    except ModelError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ModelError(f"malformed model buffer metadata: {exc!r}") from exc
-    trie_end = meta_len + pad + trie_len
-    model._store = trie_from_buffer(payload[meta_len + pad : trie_end], copy=copy)
-    model._symbols = symbols
-    model._fitted = True
-    model._mutations += 1
-    if table_len:
-        from repro.kernel.predict_table import PredictTable
-
-        # Adopt the precompiled prediction table (zero-copy views into the
-        # same buffer) and pin it to the post-restore mutation counter so
-        # the model never recompiles what the supervisor already shipped.
-        model._table = PredictTable.from_buffer(payload[trie_end:])
-        model._table_mutations = model._mutations
-    return model
 
 
 def read_model(handle: IO[str]) -> PPMModel:

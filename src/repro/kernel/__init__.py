@@ -20,7 +20,7 @@ the storage/latency substrate every model builds on:
 * :mod:`repro.kernel.prune` — the paper's two space-optimisation passes
   over the array store;
 * :mod:`repro.kernel.predict_table` — the compiled prediction table:
-  per-node candidate rows and one sorted transition array.
+  per-node candidate rows and PB-PPM's per-root special rows.
 
 Equivalence guarantee: every model predicts, serialises and renders
 **identically** to the literal Fig. 1 node-forest builders of
@@ -28,11 +28,6 @@ Equivalence guarantee: every model predicts, serialises and renders
 this contract model by model.
 """
 
-from repro.kernel.buffer import (
-    TRIE_BUFFER_VERSION,
-    trie_from_buffer,
-    trie_to_buffer,
-)
 from repro.kernel.bulk import build_branch_trie, build_ngram_trie, dedup_sequences
 from repro.kernel.compact import CompactTrie
 from repro.kernel.prune import (
@@ -45,9 +40,6 @@ from repro.kernel.symbols import SymbolTable
 __all__ = [
     "CompactTrie",
     "SymbolTable",
-    "TRIE_BUFFER_VERSION",
-    "trie_from_buffer",
-    "trie_to_buffer",
     "build_branch_trie",
     "build_ngram_trie",
     "dedup_sequences",

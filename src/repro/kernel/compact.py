@@ -62,59 +62,10 @@ class CompactTrie:
         self.first_child = array("q")
         self.next_sibling = array("q")
         self.used = bytearray()
-        self._children: dict[int, int] | None = {}
-        self._roots: dict[int, int] | None = {}
+        self.children: dict[int, int] = {}
+        self.roots: dict[int, int] = {}
         self.special_links: dict[int, list[int]] = {}
         self._live = 0
-
-    # -- child / root maps -----------------------------------------------------
-
-    @property
-    def children(self) -> dict[int, int]:
-        """The packed ``(parent << 32) | symbol -> child index`` map.
-
-        Buffer-mapped stores defer building it (a compiled
-        :class:`~repro.kernel.predict_table.PredictTable` makes it
-        redundant for serving); first access builds both maps in one pass
-        over the arrays.
-        """
-        if self._children is None:
-            self._build_maps()
-        return self._children
-
-    @children.setter
-    def children(self, value: dict[int, int]) -> None:
-        self._children = value
-
-    @property
-    def roots(self) -> dict[int, int]:
-        """Root node index per root symbol (lazily built like ``children``)."""
-        if self._roots is None:
-            self._build_maps()
-        return self._roots
-
-    @roots.setter
-    def roots(self, value: dict[int, int]) -> None:
-        self._roots = value
-
-    @property
-    def has_child_map(self) -> bool:
-        """Whether the packed child map is already built (no lazy cost)."""
-        return self._children is not None
-
-    def _build_maps(self) -> None:
-        # Only buffer-mapped stores defer the maps, and those are always
-        # dense (trie_to_buffer compacts first), so every slot is live.
-        roots: dict[int, int] = {}
-        children: dict[int, int] = {}
-        syms = self.syms
-        for idx, parent in enumerate(self.parents):
-            if parent == _NO_NODE:
-                roots[syms[idx]] = idx
-            else:
-                children[(parent << KEY_SHIFT) | syms[idx]] = idx
-        self._roots = roots
-        self._children = children
 
     # -- node creation -------------------------------------------------------
 
@@ -470,33 +421,6 @@ class CompactTrie:
                     store.special_links[index_of[id(root)]] = linked
         return store
 
-    # -- buffer plane ----------------------------------------------------------
-
-    def to_buffer(self) -> bytes:
-        """One contiguous buffer holding the whole store (header + arrays).
-
-        The zero-copy plane used by shared-memory serving; see
-        :mod:`repro.kernel.buffer` for the layout.
-        """
-        from repro.kernel.buffer import trie_to_buffer
-
-        return trie_to_buffer(self)
-
-    @classmethod
-    def from_buffer(
-        cls, data: "bytes | bytearray | memoryview", *, copy: bool = False
-    ) -> "CompactTrie":
-        """Reconstruct a store from :meth:`to_buffer` bytes.
-
-        Zero-copy by default (the arrays are read-only views into
-        ``data``); ``copy=True`` builds a private mutable store.  Raises
-        :class:`~repro.errors.ModelError` on a bad magic, version,
-        truncation or checksum mismatch.
-        """
-        from repro.kernel.buffer import trie_from_buffer
-
-        return trie_from_buffer(data, copy=copy)
-
     # -- introspection -------------------------------------------------------
 
     def storage_bytes(self) -> int:
@@ -508,14 +432,7 @@ class CompactTrie:
             self.first_child,
             self.next_sibling,
         )
-        # Buffer-backed stores (from_buffer) hold memoryviews, which have
-        # no over-allocation to report; arrays report allocated slots.
-        total = sum(
-            a.buffer_info()[1] * a.itemsize
-            if isinstance(a, array)
-            else len(a) * a.itemsize
-            for a in arrays
-        )
+        total = sum(a.buffer_info()[1] * a.itemsize for a in arrays)
         return total + len(self.used)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics

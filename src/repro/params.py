@@ -267,16 +267,3 @@ FAULT_PLAN = None  # type: ignore[var-annotated]
 #: ``REPRO_WORKERS`` environment variable override it per invocation, and
 #: the sharded engine guarantees results bit-identical to a serial run.
 DEFAULT_WORKERS: int = 1
-
-#: Consecutive unexpected deaths of one serving worker slot that stop the
-#: supervisor from respawning it until the cooldown elapses (a worker that
-#: dies on every boot would otherwise fork-loop forever).
-SERVE_WORKER_BREAKER_FAILURES: int = 5
-
-#: Cooling-off period (seconds) after a worker slot's breaker opens.
-SERVE_WORKER_BREAKER_COOLDOWN_S: float = 10.0
-
-#: Base delay before respawning a crashed serving worker; doubles per
-#: consecutive death of the same slot up to the cap below.
-SERVE_WORKER_RESPAWN_BACKOFF_S: float = 0.25
-SERVE_WORKER_RESPAWN_BACKOFF_MAX_S: float = 5.0

@@ -6,13 +6,11 @@ live model updates and read-copy-update hot swaps
 30-minute idle expiry (:mod:`repro.serve.state`), online maintenance
 (:mod:`repro.serve.updater`), snapshots (:mod:`repro.serve.snapshot`),
 a durable write-ahead report journal with crash recovery
-(:mod:`repro.serve.wal`), shared-memory multi-process serving
-(:mod:`repro.serve.multiproc`) and a trace-driven load generator
+(:mod:`repro.serve.wal`) and a trace-driven load generator
 (:mod:`repro.serve.loadgen`).
 """
 
 from repro.serve.loadgen import format_report, run_loadgen
-from repro.serve.multiproc import MultiprocServer
 from repro.serve.server import PrefetchServer, ServerThread
 from repro.serve.snapshot import (
     SnapshotManager,
@@ -35,7 +33,6 @@ __all__ = [
     "ClientSessionTracker",
     "ModelRef",
     "ModelUpdater",
-    "MultiprocServer",
     "PrefetchServer",
     "ReportJournal",
     "ServerThread",

@@ -492,7 +492,6 @@ def run_loadgen(
     threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
     refresh_mid_run: bool = False,
     spawn: bool = False,
-    workers: int = 1,
     request_timeout_s: float = 30.0,
     wal_dir: str | None = None,
     wal_fsync: str = params.SERVE_WAL_FSYNC,
@@ -502,11 +501,8 @@ def run_loadgen(
 
     Exactly one of ``url`` (an already-running server, e.g.
     ``http://127.0.0.1:8080``) or ``spawn=True`` (boot an in-process
-    server) must be given.  With ``spawn=True`` and ``workers > 1`` the
-    spawned server is a :class:`~repro.serve.multiproc.MultiprocServer`
-    — N processes over one shared-memory model segment.  With ``out``,
-    the report is also written as JSON (the ``BENCH_serve.json``
-    artifact).
+    server) must be given.  With ``out``, the report is also written as
+    JSON (the ``BENCH_serve.json`` artifact).
 
     Two traffic sources:
 
@@ -525,8 +521,6 @@ def run_loadgen(
         raise ServeError(f"unknown loadgen mode {mode!r}")
     if connections < 1:
         raise ServeError(f"connections must be >= 1, got {connections}")
-    if workers < 1:
-        raise ServeError(f"workers must be >= 1, got {workers}")
     if (url is None) == (not spawn):
         raise ServeError("pass a server url or spawn=True (exactly one)")
     if workload is None:
@@ -544,7 +538,6 @@ def run_loadgen(
             )
 
     handle = None
-    mp_server = None
     record_source = None
     event_list: list[_Event] | None = None
     bootstrap_sessions: list | None = None
@@ -591,22 +584,11 @@ def run_loadgen(
             if wal_dir is not None
             else {}
         )
-        if workers > 1:
-            from repro.serve.multiproc import MultiprocServer
-
-            mp_server = MultiprocServer(
-                bootstrap_sessions=bootstrap_sessions,
-                workers=workers,
-                **wal_kwargs,
-            )
-            mp_server.start()
-            host, port = mp_server.host, mp_server.port
-        else:
-            server = PrefetchServer(
-                bootstrap_sessions=bootstrap_sessions, **wal_kwargs
-            )
-            handle = ServerThread(server).start()
-            host, port = handle.host, handle.port
+        server = PrefetchServer(
+            bootstrap_sessions=bootstrap_sessions, **wal_kwargs
+        )
+        handle = ServerThread(server).start()
+        host, port = handle.host, handle.port
     else:
         stripped = url.removeprefix("http://")
         host, _, port_text = stripped.rstrip("/").partition(":")
@@ -624,8 +606,6 @@ def run_loadgen(
         if not event_list:
             if handle is not None:
                 handle.stop()
-            if mp_server is not None:
-                mp_server.stop()
             raise ServeError("generated trace produced no replay events")
 
     try:
@@ -656,8 +636,6 @@ def run_loadgen(
     finally:
         if handle is not None:
             handle.stop()
-        if mp_server is not None:
-            mp_server.stop()
 
     latencies = sorted(lat for stat in stats for lat in stat.latencies)
     predict_requests = sum(stat.predict_requests for stat in stats)
@@ -676,10 +654,8 @@ def run_loadgen(
             "mode": mode,
             "threshold": threshold,
             "spawn": spawn,
-            "workers": workers,
             "wal": wal_dir is not None,
             "wal_fsync": wal_fsync if wal_dir is not None else None,
-            "segment_bytes": mp_server.segment_bytes if mp_server else None,
             "refresh_mid_run": refresh_mid_run,
             "events": events if workload else len(event_list),
         },

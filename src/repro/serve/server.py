@@ -108,6 +108,23 @@ def _error_body(status: int, message: str) -> tuple[int, str, bytes]:
     return _json_body(status, {"error": message})
 
 
+def _content_length(headers: dict[str, str]) -> int | None:
+    """The request body's length, or None when the header is malformed.
+
+    The field is decimal digits only (RFC 9110); ``int`` alone would also
+    accept a sign, underscores and non-ASCII digits.
+    """
+    field = headers.get("content-length")
+    if not field:
+        return 0
+    if not (field.isascii() and field.isdigit()):
+        return None
+    try:
+        return int(field)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
 #: Memoised JSON fragments, one per distinct Prediction tuple.  Bounded so
 #: an adversarial URL stream cannot grow it without limit; at the bound the
 #: cache stops filling and misses just pay the json.dumps they always did.
@@ -330,17 +347,12 @@ class PrefetchServer:
         """Bind, start accepting, and launch the housekeeping task."""
         if self._server is not None:
             raise ServeError("server already started")
-        self._server = await self._create_server()
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self._requested_port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.time()
         self._housekeeping = asyncio.create_task(self._housekeeping_loop())
-
-    async def _create_server(self) -> asyncio.AbstractServer:
-        """Bind the listening socket (overridden by the multi-process
-        workers, which accept on SO_REUSEPORT or inherited sockets)."""
-        return await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
-        )
 
     async def stop(self) -> None:
         """Stop accepting, complete open sessions, final fold + snapshot."""
@@ -418,9 +430,8 @@ class PrefetchServer:
         """Blocking entry point for the CLI: serve until SIGTERM/SIGINT.
 
         Both signals shut down gracefully: stop accepting, complete open
-        sessions, fold, final snapshot, sync and close the journal —
-        parity with the multi-process supervisor, and the log line from
-        :meth:`stop` records what was flushed.
+        sessions, fold, final snapshot, sync and close the journal; the
+        log line from :meth:`stop` records what was flushed.
         """
 
         async def _main() -> None:
@@ -493,7 +504,15 @@ class PrefetchServer:
                         writer, *_error_body(400, "malformed request line"), close=True
                     )
                     break
-                length = int(headers.get("content-length") or 0)
+                length = _content_length(headers)
+                if length is None:
+                    self.errors_total += 1
+                    await self._write_response(
+                        writer,
+                        *_error_body(400, "malformed Content-Length"),
+                        close=True,
+                    )
+                    break
                 body = await reader.readexactly(length) if length else b""
                 close = headers.get("connection", "").lower() == "close"
                 retry_after: float | None = None
@@ -508,8 +527,8 @@ class PrefetchServer:
                 else:
                     self._inflight += 1
                     try:
-                        if params.FAULT_PLAN is None and self._fast_eligible(
-                            target
+                        if params.FAULT_PLAN is None and not target.startswith(
+                            "/admin"
                         ):
                             # Data plane: these handlers are synchronous,
                             # so a wait_for deadline could never preempt
@@ -634,15 +653,6 @@ class PrefetchServer:
                 return _error_body(405, "admin endpoints use POST")
             return await self._handle_admin(path)
         return _error_body(404, f"unknown path {path!r}")
-
-    def _fast_eligible(self, target: str) -> bool:
-        """Whether ``target`` is dispatched inline (:meth:`_dispatch_fast`).
-
-        The ops plane never does; the multi-process workers additionally
-        exclude ``/metrics`` (their cluster view needs an async pipe
-        round-trip to the supervisor).
-        """
-        return not target.startswith("/admin")
 
     def _dispatch_fast(
         self, method: str, target: str, body: bytes

@@ -52,12 +52,12 @@ class ModelRef:
     the whole request (the RCU discipline the hot-swap tests pin).
     """
 
-    def __init__(self, model: PPMModel, *, version: int = 1) -> None:
+    def __init__(self, model: PPMModel) -> None:
         if not model.is_fitted:
             raise ValueError("ModelRef requires a fitted model")
         self._lock = threading.Lock()
         self._model = model
-        self._version = version
+        self._version = 1
 
     def get(self) -> tuple[PPMModel, int]:
         """The current ``(model, version)`` pair, atomically."""
@@ -72,26 +72,12 @@ class ModelRef:
     def version(self) -> int:
         return self.get()[1]
 
-    def publish(self, model: PPMModel, *, version: int | None = None) -> int:
-        """Swap in a replacement model; returns the new version.
-
-        ``version`` pins the published version explicitly instead of
-        bumping by one — the multi-process workers use it so every
-        worker's version equals the supervisor's global segment
-        generation.  It must move forward.
-        """
+    def publish(self, model: PPMModel) -> int:
+        """Swap in a replacement model; returns the new version."""
         if not model.is_fitted:
             raise ValueError("cannot publish an unfitted model")
         with self._lock:
-            if version is not None:
-                if version <= self._version and model is not self._model:
-                    raise ValueError(
-                        f"published version must advance: {version} <= "
-                        f"{self._version}"
-                    )
-                self._version = version
-            else:
-                self._version += 1
+            self._version += 1
             self._model = model
             return self._version
 

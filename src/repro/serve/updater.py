@@ -103,9 +103,6 @@ class ModelUpdater:
         self._pending: list[Session] = []
         self._day: list[Session] = []
         self._refresh_lock = asyncio.Lock()
-        # refresh_sync's counterpart to _refresh_lock for callers that
-        # live on a plain thread (the multi-process supervisor).
-        self._sync_lock = threading.Lock()
         # Serialises manager access between a rebuild thread and any
         # rebuild abandoned after a stall that is still running.
         self._manager_lock = threading.Lock()
@@ -283,85 +280,3 @@ class ModelUpdater:
             self.last_refresh_error = None
             self.breaker.record_success()
             return self.ref.publish(model)
-
-    def refresh_sync(self) -> int | None:
-        """:meth:`refresh` for callers living on a plain thread.
-
-        The multi-process supervisor runs refreshes from its pipe-service
-        thread, where ``asyncio.run`` per call would rebind the asyncio
-        refresh lock to a new loop every time.  Semantics are identical:
-        same breaker gating, same deadline (enforced with a joined worker
-        thread), same requeue-on-exception behaviour, same no-op paths.
-        """
-        with self._sync_lock:
-            if not self.breaker.allow():
-                self.refresh_skipped_total += 1
-                logger.warning(
-                    "model rebuild skipped: circuit breaker %s "
-                    "(%d consecutive failures); serving last-good model v%d",
-                    self.breaker.state,
-                    self.breaker.consecutive_failures,
-                    self.ref.version,
-                )
-                return self.ref.version
-            day = self._day + self._pending
-            self._day = []
-            self._pending = []
-            if not day and self._manager.days_retained == 0:
-                self.breaker.record_success()
-                return None
-            if not day and self._manager.model is self.ref.model:
-                self.breaker.record_success()
-                return self.ref.version
-            started = time.perf_counter()
-            outcome: list[tuple[str, object]] = []
-
-            def _run() -> None:
-                try:
-                    outcome.append(("ok", self._build_day(day)))
-                except Exception as exc:  # noqa: BLE001 - reported below
-                    outcome.append(("err", exc))
-
-            worker = threading.Thread(
-                target=_run, name="repro-refresh-sync", daemon=True
-            )
-            worker.start()
-            worker.join(self.rebuild_timeout_s)
-            if worker.is_alive():
-                # Abandoned like the async path: the thread holds
-                # _manager_lock and its day advances the window when it
-                # finishes, so nothing is requeued here.
-                self.refresh_timeouts_total += 1
-                self.refresh_failures_total += 1
-                self.last_refresh_error = (
-                    f"rebuild exceeded {self.rebuild_timeout_s:.1f}s deadline"
-                )
-                self.breaker.record_failure()
-                logger.error(
-                    "model rebuild stalled past %.1fs; abandoned "
-                    "(breaker %s), serving last-good model v%d",
-                    self.rebuild_timeout_s,
-                    self.breaker.state,
-                    self.ref.version,
-                )
-                return self.ref.version
-            kind, value = outcome[0]
-            if kind == "err":
-                self._day = day + self._day
-                self.refresh_failures_total += 1
-                self.last_refresh_error = f"{type(value).__name__}: {value}"
-                self.breaker.record_failure()
-                logger.error(
-                    "model rebuild failed (%s); day requeued (breaker %s), "
-                    "serving last-good model v%d",
-                    self.last_refresh_error,
-                    self.breaker.state,
-                    self.ref.version,
-                )
-                return self.ref.version
-            self.last_refresh_duration_s = time.perf_counter() - started
-            self.refresh_total += 1
-            self.last_refresh_error = None
-            self.breaker.record_success()
-            assert isinstance(value, PPMModel)
-            return self.ref.publish(value)

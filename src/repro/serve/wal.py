@@ -12,16 +12,16 @@ Format
 ------
 A journal is a directory of segment files ``wal-<seq>.log``.  Each
 segment starts with an 8-byte header (``RPWL`` magic + u32 format
-version, validated through :mod:`repro.validation`) followed by records
-framed as ``<u32 length><u32 crc32><payload>`` — the same CRC-32 the
-snapshot/buffer planes use.  Payloads are compact JSON:
+version, checked by the recovery scan) followed by records framed as
+``<u32 length><u32 crc32><payload>`` — the same
+:func:`repro.validation.checksum` CRC-32 the columnar trace format uses.
+Payloads are compact JSON:
 
 ``{"k": "r", "c": client, "u": url, "t": ts}``
-    One acknowledged report (the single-process server's unit of
-    durability).
+    One acknowledged report (the server's unit of durability).
 ``{"k": "s", "sessions": [[client, [[url, ts], ...]], ...]}``
-    A batch of completed sessions (what the multi-process supervisor
-    journals before folding piped-up sessions).
+    A batch of completed sessions (:meth:`ReportJournal.append_sessions`).
+    No serving path writes these any more; recovery still reads them.
 ``{"k": "c", "b": boundary, "open": [...], "pending": [...]}``
     A *carry* record written at a snapshot boundary: the open-session
     and pending-fold state that the model snapshot does **not** cover.
@@ -156,8 +156,7 @@ class ReportJournal:
     """Append-only, CRC-framed, segment-rotating report journal.
 
     Single-writer by design: every append happens on the serving event
-    loop (or the supervisor's pipe-service thread), so no internal
-    locking is needed — the same discipline the tracker and updater
+    loop, so no internal locking is needed — the same discipline the tracker and updater
     already follow.
 
     Parameters
@@ -290,7 +289,7 @@ class ReportJournal:
             self._append({"k": "r", "c": client, "u": url, "t": timestamp})
 
     def append_sessions(self, sessions: list[Session]) -> None:
-        """Journal a batch of completed sessions (supervisor path)."""
+        """Journal a batch of completed sessions as one ``"s"`` record."""
         if sessions:
             self._append({"k": "s", "sessions": _encode_sessions(sessions)})
 
@@ -619,13 +618,12 @@ def recovery_sessions(
     *,
     idle_timeout_s: float = params.SESSION_IDLE_TIMEOUT_S,
 ) -> list[Session]:
-    """Recovered records as completed sessions (multi-process boot path).
+    """Recovered records as completed sessions, for a caller with no tracker.
 
-    The supervisor has no tracker, so ``"r"`` records are grouped into
-    sessions per client with the paper's idle-gap rule and everything is
-    folded as completed work; open-session continuity is a
-    single-process luxury the worker model cannot offer anyway (workers
-    die with their open sessions).
+    ``"r"`` records are grouped into sessions per client with the paper's
+    idle-gap rule and everything is returned as completed work, so open
+    sessions do not survive as open (:func:`replay_into_tracker` keeps
+    them open).
     """
     sessions: list[Session] = []
     open_clicks: dict[str, list[tuple[str, float]]] = {}

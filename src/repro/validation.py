@@ -1,16 +1,15 @@
-"""Shared validation for every persisted model format.
+"""Shared validation for every persisted format.
 
-Three formats carry a fitted model across a process boundary — the JSON
-document (:mod:`repro.core.serialize`), the snapshot file built on it
-(:mod:`repro.serve.snapshot`) and the shared-memory buffer plane
-(:mod:`repro.kernel.buffer`).  Each has a header to check (magic, format
-version, checksum) and each must fail with one typed
-:class:`~repro.errors.ModelError` on any malformation, so the checks live
-here once instead of being re-implemented per format.
+The model document (:mod:`repro.core.serialize`, and the snapshot file
+built on it) checks its format version here; the columnar ``.rpt`` trace
+(:mod:`repro.trace.columnar`) takes its header checks and CRC-32 from
+here, and the report journal (:mod:`repro.serve.wal`) its CRC-32.  A
+malformed model or trace fails with one typed
+:class:`~repro.errors.ModelError`, so the checks live here once instead
+of being re-implemented per format.
 
-This module sits below both :mod:`repro.core` and :mod:`repro.kernel`
-(it imports only :mod:`repro.errors`), which is what lets the kernel's
-buffer plane share the exact wording the JSON loader uses.
+This module imports only :mod:`repro.errors`, so every layer can use it
+without an import cycle.
 """
 
 from __future__ import annotations

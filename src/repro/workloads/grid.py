@@ -61,6 +61,9 @@ SPEC_KEYS = (
     "sample_salt",
 )
 
+#: Keys the optional ``serve`` mapping (the live-serving leg) may carry.
+SERVE_KEYS = ("events", "train_events", "connections")
+
 #: Model keys the grid can sweep, mirroring the lab's registry.
 MODEL_KEYS = (
     "standard",
@@ -142,6 +145,17 @@ def validate_grid_spec(spec: Mapping) -> dict:
             raise WorkloadError(
                 unknown_name_message("model", str(model_key), MODEL_KEYS)
             )
+    serve = merged["serve"]
+    if serve:
+        if not isinstance(serve, Mapping):
+            raise WorkloadError(
+                f"grid spec 'serve' must be a mapping, got {type(serve).__name__}"
+            )
+        for key in serve:
+            if key not in SERVE_KEYS:
+                raise WorkloadError(
+                    unknown_name_message("grid serve key", str(key), SERVE_KEYS)
+                )
     if merged["sample_rate"] is not None:
         ClientSampler(merged["sample_rate"], salt=int(merged["sample_salt"] or 0))
     return merged
@@ -221,7 +235,7 @@ def _cell_label(model_key: str, prune) -> str:
 
 
 def _serving_metrics(scenario: Mapping, serve: Mapping, seed: int) -> dict:
-    """Drive a spawned serving cluster with the live workload stream."""
+    """Drive a spawned server with the live workload stream."""
     from repro.serve.loadgen import run_loadgen
 
     report = run_loadgen(
@@ -232,7 +246,6 @@ def _serving_metrics(scenario: Mapping, serve: Mapping, seed: int) -> dict:
         train_events=int(serve.get("train_events", 1_500)),
         connections=int(serve.get("connections", 2)),
         spawn=True,
-        workers=int(serve.get("workers", 2)),
     )
     return {
         "requests": report["requests_total"],

@@ -1,12 +1,13 @@
-"""Regression tests: one validation helper guards every model format.
+"""Regression tests: one validation helper guards every persisted format.
 
-Three formats carry a fitted model across a process boundary — the JSON
-document, the snapshot file and the shared-memory buffer.  A past bug
-class had each format re-implementing version/checksum checks with
-drifting wording and drifting behaviour; these tests pin all entry points
-to the single :mod:`repro.validation` helper and to its exact failure
-wording, for both the ``load_model`` document path and the snapshot
-restore path the serving boot uses.
+The model document and the snapshot file built on it check their format
+version, and the two binary formats — the columnar ``.rpt`` trace and the
+report journal — frame their payloads with a CRC-32.  A past bug class had
+each format re-implementing version/checksum checks with drifting wording
+and drifting behaviour; these tests pin every format to the single
+:mod:`repro.validation` helper, and the ``load_model`` document path and
+the snapshot restore path the serving boot uses to its exact failure
+wording.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import json
 import pytest
 
 import repro.core.serialize as serialize
-import repro.kernel.buffer as kernel_buffer
+import repro.serve.wal as wal
+import repro.trace.columnar as columnar
 import repro.validation as validation
 from repro.core.serialize import dump_model, load_model
 from repro.core.standard import StandardPPM
@@ -32,15 +34,15 @@ def _model():
 
 class TestOneSharedHelper:
     def test_every_format_binds_the_same_validators(self):
-        """The document loader and the buffer plane must not fork their
-        own copies of the validation helpers."""
+        """The document loader, the columnar trace format and the journal
+        must not fork their own copies of the validation helpers."""
         assert serialize.require_version is validation.require_version
-        assert kernel_buffer.require_version is validation.require_version
-        assert kernel_buffer.require_magic is validation.require_magic
-        assert kernel_buffer.require_checksum is validation.require_checksum
-        assert kernel_buffer.require_length is validation.require_length
-        assert serialize.checksum is validation.checksum
-        assert kernel_buffer.checksum is validation.checksum
+        assert columnar.require_version is validation.require_version
+        assert columnar.require_magic is validation.require_magic
+        assert columnar.require_checksum is validation.require_checksum
+        assert columnar.require_length is validation.require_length
+        assert columnar.checksum is validation.checksum
+        assert wal.checksum is validation.checksum
 
 
 class TestLoadModelEntryPoint:
@@ -95,10 +97,3 @@ class TestSnapshotRestoreEntryPoint:
             load_snapshot(path)
         assert str(document_error.value) == str(snapshot_error.value)
 
-
-class TestBufferEntryPoint:
-    def test_version_wording_matches_the_helper(self):
-        buffer = bytearray(serialize.model_to_buffer(_model()))
-        buffer[4] = 0xFE
-        with pytest.raises(ModelError, match="unsupported model buffer"):
-            serialize.model_from_buffer(bytes(buffer))

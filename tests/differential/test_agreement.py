@@ -1,6 +1,6 @@
 """Differential testing: every prediction path must agree, click for click.
 
-The repo now answers "what should the client prefetch next?" through four
+The repo answers "what should the client prefetch next?" through three
 independently-implemented paths:
 
 1. **batch** — ``model.predict(context)`` re-matching the trimmed context
@@ -9,15 +9,13 @@ independently-implemented paths:
    (``prediction_cursor`` + ``predict_cursor``), which carries match state
    across clicks;
 3. **tracker** — the serving layer's :class:`ClientSessionTracker`, which
-   wraps a cursor per client behind the RCU :class:`ModelRef`;
-4. **buffer** — the batch path run against a model rehydrated zero-copy
-   from its shared-memory wire form
-   (``model_from_buffer(model_to_buffer(model))``), the representation the
-   multi-process workers serve from.
+   wraps a cursor per client behind the RCU :class:`ModelRef`.
 
 The literal Fig. 1 node forest of ``tests/oracle.py``, built from the same
-sessions and predicting by node longest-match, is replayed as a fifth
-path: the reference the other four must match.  Every path runs at two
+sessions and predicting by node longest-match, is replayed as a fourth
+path: the reference the other three must match.  The HTTP leg — served
+``/predict`` bodies against the tracker — is
+``tests/differential/test_http_agreement.py``.  Every path runs at two
 thresholds: the default, which the compiled prediction table answers
 (``compiled``), and one the table was not compiled at, which the
 uncompiled store walk answers (``uncompiled``).  This suite replays
@@ -35,7 +33,6 @@ import pytest
 from repro import params
 from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
-from repro.core.serialize import model_from_buffer, model_to_buffer
 from repro.core.standard import StandardPPM
 from repro.serve.state import ClientSessionTracker, ModelRef, trim_context
 from repro.synth import generate_trace
@@ -58,7 +55,7 @@ def _as_tuples(predictions):
 
 
 # ---------------------------------------------------------------------------
-# The four prediction paths (plus the node-forest oracle)
+# The three prediction paths (plus the node-forest oracle)
 # ---------------------------------------------------------------------------
 
 
@@ -106,7 +103,7 @@ def _replay_tracker(model, urls, threshold, client="differential"):
     return out
 
 
-PATH_NAMES = ("batch", "cursor", "tracker", "buffer", "node-forest")
+PATH_NAMES = ("batch", "cursor", "tracker", "node-forest")
 
 
 def _replay_all(models, urls, threshold):
@@ -115,7 +112,6 @@ def _replay_all(models, urls, threshold):
         "batch": _replay_batch(models["compact"], urls, threshold),
         "cursor": _replay_cursor(models["compact"], urls, threshold),
         "tracker": _replay_tracker(models["compact"], urls, threshold),
-        "buffer": _replay_batch(models["buffer"], urls, threshold),
         "node-forest": _replay_batch(models["forest"], urls, threshold),
     }
 
@@ -195,8 +191,7 @@ def models(corpus):
     popularity = PopularityTable.from_sessions(train)
     compact = PopularityBasedPPM(popularity).fit(train)
     forest = OracleModel(PopularityBasedPPM(popularity), train)
-    buffer_twin = model_from_buffer(model_to_buffer(compact))
-    return {"compact": compact, "forest": forest, "buffer": buffer_twin}
+    return {"compact": compact, "forest": forest}
 
 
 # ---------------------------------------------------------------------------
@@ -224,11 +219,9 @@ class TestAllPathsAgree:
     def test_standard_ppm_paths_agree_too(self, corpus, threshold):
         """The guarantee is model-independent: StandardPPM as well."""
         train = corpus.train_sessions
-        compact = StandardPPM().fit(train)
         models = {
-            "compact": compact,
+            "compact": StandardPPM().fit(train),
             "forest": OracleModel(StandardPPM(), train),
-            "buffer": model_from_buffer(model_to_buffer(compact)),
         }
         for index, session in enumerate(corpus.test_sessions[:MIN_SESSIONS]):
             divergence = _first_divergence(models, session.urls, threshold)
@@ -259,7 +252,7 @@ class TestShrinker:
                 return []
 
         real = models["compact"]
-        broken = {"compact": real, "forest": _Broken(real), "buffer": real}
+        broken = {"compact": real, "forest": _Broken(real)}
         # Find a session where the real model predicts something.
         urls = None
         for head in list(real.roots)[:50]:

@@ -2,8 +2,8 @@
 
 The differential suites prove the compiled dispatch agrees with every
 other prediction path over whole synthetic corpora; this file pins the
-table itself on a hand-built store where every row, probability and
-transition can be checked against numbers computed by inspection.
+table itself on a hand-built store where every row and probability can
+be checked against numbers computed by inspection.
 """
 
 from __future__ import annotations
@@ -15,14 +15,9 @@ np = pytest.importorskip("numpy")
 from repro import params
 from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
-from repro.errors import ModelError
 from repro.kernel import predict_table as predict_table_module
-from repro.kernel.compact import KEY_SHIFT, CompactTrie
-from repro.kernel.predict_table import (
-    TABLE_BUFFER_MAGIC,
-    PredictTable,
-    compile_predict_table,
-)
+from repro.kernel.compact import CompactTrie
+from repro.kernel.predict_table import compile_predict_table
 from repro.kernel.prune import prune_compact_by_absolute_count
 from repro.kernel.symbols import SymbolTable
 
@@ -136,6 +131,12 @@ class TestCompile:
         compile_predict_table(store, symbols)
         assert predict_table_module.COMPILE_COUNT == before + 2
 
+    def test_storage_bytes_counts_the_nine_arrays(self):
+        _store, _symbols, table = compile_built()
+        # 7 nodes: two offset arrays of 8 slots, 5 context rows of three
+        # 8-byte columns, no special rows (one spl_offsets slot).
+        assert table.storage_bytes() == 2 * 8 * 8 + 5 * 3 * 8 + 8
+
 
 class TestSpecialRows:
     def test_special_links_aggregate_by_url_and_gate(self):
@@ -181,126 +182,6 @@ class TestSpecialRows:
         store, symbols, table = compile_built()
         root_d = store.roots[symbols.get("D")]
         assert table.special_row(root_d, symbols.url) == ((), ())
-
-
-class TestTransitions:
-    def test_root_and_child_probes_match_the_store(self):
-        store, symbols, table = compile_built()
-        for url, sym in [("A", symbols.get("A")), ("D", symbols.get("D"))]:
-            assert table.root_index(sym) == store.roots[sym]
-        assert table.root_index(symbols.get("X")) is None
-        root_a = store.roots[symbols.get("A")]
-        node_b = store.child(root_a, symbols.get("B"))
-        assert table.child_index(root_a, symbols.get("B")) == node_b
-        assert table.child_index(root_a, symbols.get("X")) is None
-        assert table.child_index(node_b, symbols.get("X")) == store.child(
-            node_b, symbols.get("X")
-        )
-
-    def test_advance_states_mirrors_the_child_walk(self):
-        store, symbols, table = compile_built()
-        root_a = store.roots[symbols.get("A")]
-        node_b = store.child(root_a, symbols.get("B"))
-        sym_b = symbols.get("B")
-        states = [(root_a, [root_a])]
-        advanced = table.advance_states(states, sym_b)
-        # A->B advances; B itself is not a root, so no new 1-suffix.
-        assert advanced == [(node_b, [root_a, node_b])]
-        # Advancing by a symbol that is a root appends the root state.
-        advanced = table.advance_states([], symbols.get("D"))
-        root_d = store.roots[symbols.get("D")]
-        assert advanced == [(root_d, [root_d])]
-        # Dead states drop out.
-        assert table.advance_states([(node_b, [node_b])], sym_b) == []
-
-    def test_match_states_resolves_full_suffixes_longest_first(self):
-        store, symbols, table = compile_built()
-        root_a = store.roots[symbols.get("A")]
-        node_b = store.child(root_a, symbols.get("B"))
-        ids = [symbols.get("A"), symbols.get("B")]
-        states = table.match_states(ids)
-        assert states == [(node_b, [root_a, node_b])]
-        # None ids (unknown URLs) cannot participate in a match.
-        assert table.match_states([None, symbols.get("B")]) == []
-        assert table.match_states([symbols.get("A"), None]) == []
-        assert table.match_states([]) == []
-
-
-class TestBufferPlane:
-    def test_round_trip_preserves_everything(self):
-        store, symbols, table = compile_built()
-        blob = table.to_buffer()
-        twin = PredictTable.from_buffer(blob)
-        assert twin.threshold == table.threshold
-        assert twin.special_threshold == table.special_threshold
-        assert twin.node_count == table.node_count
-        for name in (
-            "ctx_offsets",
-            "ctx_sym",
-            "ctx_prob",
-            "ctx_child",
-            "spc_offsets",
-            "spc_sym",
-            "spc_prob",
-            "spl_offsets",
-            "spl_nodes",
-            "trans_keys",
-            "trans_child",
-        ):
-            np.testing.assert_array_equal(
-                getattr(twin, name), getattr(table, name)
-            )
-        root_a = store.roots[symbols.get("A")]
-        assert twin.context_row(root_a, 1, symbols.url) == table.context_row(
-            root_a, 1, symbols.url
-        )
-
-    def test_mapped_arrays_are_zero_copy_views(self):
-        _store, _symbols, table = compile_built()
-        blob = bytearray(table.to_buffer())
-        twin = PredictTable.from_buffer(blob)
-        assert not twin.trans_keys.flags.writeable
-        assert not twin.ctx_prob.flags.owndata
-
-    def test_buffer_length_is_header_plus_storage(self):
-        _store, _symbols, table = compile_built()
-        blob = table.to_buffer()
-        assert table.storage_bytes() > 0
-        assert (
-            len(blob)
-            == table.storage_bytes() + predict_table_module._HEADER.size
-        )
-
-    def test_bad_magic_is_rejected(self):
-        _store, _symbols, table = compile_built()
-        blob = bytearray(table.to_buffer())
-        assert blob[:4] == TABLE_BUFFER_MAGIC
-        blob[:4] = b"XXXX"
-        with pytest.raises(ModelError):
-            PredictTable.from_buffer(blob)
-
-    def test_unknown_version_is_rejected(self):
-        _store, _symbols, table = compile_built()
-        blob = bytearray(table.to_buffer())
-        blob[4] ^= 0xFF
-        with pytest.raises(ModelError):
-            PredictTable.from_buffer(blob)
-
-    def test_truncation_is_rejected(self):
-        _store, _symbols, table = compile_built()
-        blob = table.to_buffer()
-        with pytest.raises(ModelError):
-            PredictTable.from_buffer(blob[: len(blob) - 8])
-        with pytest.raises(ModelError):
-            PredictTable.from_buffer(blob[:10])
-
-    @pytest.mark.parametrize("index", [70, 101, -5])
-    def test_payload_corruption_fails_the_checksum(self, index):
-        _store, _symbols, table = compile_built()
-        blob = bytearray(table.to_buffer())
-        blob[index] ^= 0x40
-        with pytest.raises(ModelError):
-            PredictTable.from_buffer(blob)
 
 
 DISPATCH_SEQUENCES = [

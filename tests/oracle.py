@@ -49,7 +49,7 @@ from repro.core.prediction import Prediction, clears_threshold
 from repro.core.standard import StandardPPM
 from repro.core.stats import node_count, path_utilization, reset_usage
 from repro.errors import TraceError
-from repro.kernel.compact import KEY_SHIFT, CompactTrie
+from repro.kernel.compact import CompactTrie
 from repro.kernel.predict_table import PredictTable, _as_int64
 from repro.kernel.symbols import SymbolTable
 from repro.trace.columnar import TraceColumns
@@ -507,13 +507,6 @@ def compile_predict_table(
     counts = _as_int64(store.counts)
     parents = _as_int64(store.parents)
 
-    # Transitions: every edge (roots included, parent -1 packs to slot 0)
-    # as one sorted key array for searchsorted probes.
-    keys = ((parents + 1) << KEY_SHIFT) | syms
-    order = np.argsort(keys, kind="stable")
-    trans_keys = keys[order]
-    trans_child = order.astype(np.int64)
-
     # Context rows: qualifying children grouped per parent.  The
     # division below is the same int64 / int64 -> float64 the uncompiled
     # path performs per request, so probabilities are bit-identical.
@@ -601,9 +594,34 @@ def compile_predict_table(
         spc_prob=np.asarray(spc_prob_list, dtype=np.float64),
         spl_offsets=np.asarray(spl_offsets_list, dtype=np.int64),
         spl_nodes=np.asarray(spl_nodes_list, dtype=np.int64),
-        trans_keys=trans_keys,
-        trans_child=trans_child,
     )
+
+
+#: Every array a :class:`~repro.kernel.predict_table.PredictTable` holds.
+TABLE_ARRAYS = (
+    "ctx_offsets",
+    "ctx_sym",
+    "ctx_prob",
+    "ctx_child",
+    "spc_offsets",
+    "spc_sym",
+    "spc_prob",
+    "spl_offsets",
+    "spl_nodes",
+)
+
+
+def assert_same_tables(got: PredictTable | None, want: PredictTable | None) -> None:
+    """Both thresholds equal, and all nine arrays in dtype and bit for bit."""
+    assert got is not None and want is not None
+    assert (got.threshold, got.special_threshold) == (
+        want.threshold,
+        want.special_threshold,
+    )
+    for name in TABLE_ARRAYS:
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.dtype == theirs.dtype, name
+        assert mine.tobytes() == theirs.tobytes(), name
 
 
 def path_stats(store: CompactTrie) -> tuple[int, int]:

@@ -6,7 +6,7 @@ rank), and :meth:`~repro.kernel.compact.CompactTrie.path_stats` counts
 leaves with one mask over a dense store.  ``tests/oracle.py`` keeps the
 per-row ``sorted`` compile and the stack walk they replaced; for arbitrary
 weighted stores both must agree with those references exactly — all
-eleven table arrays in value, bit pattern and dtype, and both path counts.
+nine table arrays in value, bit pattern and dtype, and both path counts.
 
 The alphabet is interned in a shuffled order, so symbol ids never follow
 string order, and it mixes case, a non-ASCII URL and a URL with a
@@ -31,35 +31,11 @@ from repro.workloads import grid
 
 from tests import oracle
 
-#: Every array a :class:`~repro.kernel.predict_table.PredictTable` holds.
-TABLE_ARRAYS = (
-    "ctx_offsets",
-    "ctx_sym",
-    "ctx_prob",
-    "ctx_child",
-    "spc_offsets",
-    "spc_sym",
-    "spc_prob",
-    "spl_offsets",
-    "spl_nodes",
-    "trans_keys",
-    "trans_child",
-)
-
 ALPHABET = ("/a", "/A", "/b", "/B", "/a\x00", "/é", "/z/1", "/Z")
 #: Paths draw from the first six URLs; zero-count roots from all eight,
 #: so some are new roots and some already exist.
 PATH_URLS = ALPHABET[:6]
 THRESHOLDS = st.sampled_from([0.0, 0.25, 1 / 3, 1.0])
-
-
-def assert_same_tables(got, want) -> None:
-    """All eleven arrays equal in dtype and bit for bit."""
-    assert got is not None and want is not None
-    for name in TABLE_ARRAYS:
-        mine, theirs = getattr(got, name), getattr(want, name)
-        assert mine.dtype == theirs.dtype, name
-        assert mine.tobytes() == theirs.tobytes(), name
 
 
 @st.composite
@@ -110,9 +86,8 @@ def test_compile_equals_the_row_sort_reference(
     store, symbols = built
     thresholds = {"threshold": threshold, "special_threshold": special_threshold}
     want = oracle.compile_predict_table(store, symbols, **thresholds)
-    assert_same_tables(compile_predict_table(store, symbols, **thresholds), want)
-    mapped = CompactTrie.from_buffer(store.to_buffer())
-    assert_same_tables(compile_predict_table(mapped, symbols, **thresholds), want)
+    got = compile_predict_table(store, symbols, **thresholds)
+    oracle.assert_same_tables(got, want)
 
 
 @settings(max_examples=200, deadline=None)
@@ -128,8 +103,6 @@ def test_path_stats_equals_the_walk(built, used, deletions):
     for pick in used:
         store.used[pick % len(store.syms)] = 1
     assert store.path_stats() == oracle.path_stats(store)
-    mapped = CompactTrie.from_buffer(store.to_buffer())
-    assert mapped.path_stats() == oracle.path_stats(mapped)
     for is_root, pick in deletions:
         if is_root and store.roots:
             store.delete_root(sorted(store.roots)[pick % len(store.roots)])
@@ -161,5 +134,5 @@ def test_grid_models_compile_to_reference_tables():
                 model, "special_link_threshold", params.SPECIAL_LINK_THRESHOLD
             ),
         )
-        assert_same_tables(model._compiled_table(), want)
+        oracle.assert_same_tables(model._compiled_table(), want)
         assert model._store.path_stats() == oracle.path_stats(model._store)

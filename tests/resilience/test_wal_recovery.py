@@ -20,7 +20,6 @@ import pytest
 
 from repro.errors import WalError
 from repro.resilience import FaultPlan, injected
-from repro.serve.multiproc import MultiprocServer
 from repro.serve.server import PrefetchServer, ServerThread
 from repro.serve.snapshot import restore_snapshot_state
 from repro.serve.wal import (
@@ -313,35 +312,3 @@ class TestCrashImageRestart:
         assert restarted.tracker.context("c2") == ("A",)
         restarted.wal.close()
 
-    def test_multiproc_recovery_folds_sessions(self, tmp_path):
-        wal_dir = str(tmp_path / "wal")
-        journal = ReportJournal(wal_dir, fsync="off")
-        for index in range(3):
-            journal.append_report("c1", "Q", 100.0 + index * 10)
-            journal.append_report("c1", "R", 105.0 + index * 10)
-        journal.close()
-
-        cluster = MultiprocServer(
-            fitted_model(), workers=2, wal_dir=wal_dir, wal_fsync="off"
-        )
-        try:
-            recovered = cluster.recover_journal(None)
-            assert recovered["records_replayed"] == 6
-            assert recovered["sessions_recovered"] >= 1
-            # The recovered transitions are in the live model before any
-            # worker would start.
-            assert "Q" in cluster.updater.ref.model.roots
-        finally:
-            cluster.wal.close()
-
-    def test_multiproc_recovery_after_start_is_refused(self, tmp_path):
-        cluster = MultiprocServer(
-            fitted_model(), workers=2, wal_dir=str(tmp_path / "wal")
-        )
-        cluster._control = object()  # started marker
-        try:
-            with pytest.raises(Exception, match="before start"):
-                cluster.recover_journal(None)
-        finally:
-            cluster._control = None
-            cluster.wal.close()

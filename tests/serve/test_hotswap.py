@@ -10,7 +10,6 @@ The acceptance bar for the read-copy-update design:
 
 import threading
 
-from repro.serve.loadgen import run_loadgen
 from repro.serve.server import PrefetchServer, ServerThread
 
 from tests.helpers import make_sessions
@@ -140,32 +139,3 @@ class TestAtomicSwap:
         assert server.updater.refresh_total >= 1
         assert server.ref.version > 1
 
-
-class TestMultiprocHotSwap:
-    """The same bar, across process boundaries.
-
-    Four worker processes map one shared-memory segment; a mid-run
-    ``/admin/refresh`` publishes a new segment and flips the control
-    block.  Acceptance: zero failed requests AND zero stale-generation
-    predictions — once the refresh response has returned, every worker
-    answers from the new generation (each worker re-reads the control
-    block before dispatching a request).
-    """
-
-    def test_refresh_under_load_with_four_workers_is_lossless(self):
-        report = run_loadgen(
-            spawn=True,
-            workers=4,
-            connections=4,
-            days=1,
-            train_days=1,
-            seed=13,
-            scale=0.2,
-            max_events=300,
-            refresh_mid_run=True,
-        )
-        assert report["failed_requests"] == 0
-        assert report["refresh_triggered"] is True
-        assert report["refresh_version"] >= 2
-        assert report["stale_predictions"] == 0
-        assert report["requests_total"] > 0

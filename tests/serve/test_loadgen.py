@@ -54,6 +54,9 @@ class TestSpawnSmoke:
         assert report["predict_requests"] == report["requests_total"]
         assert report["prediction_urls_returned"] > 0
         assert report["refresh_triggered"] is True
+        # Once the refresh response returned, no prediction may come from
+        # the model it replaced.
+        assert report["stale_predictions"] == 0
         latency = report["latency_ms"]
         assert latency["p50"] <= latency["p95"] <= latency["p99"] <= latency["max"]
         # The artifact on disk is the same report.

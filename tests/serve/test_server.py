@@ -1,6 +1,7 @@
 """End-to-end tests of the HTTP surface (in-process ServerThread)."""
 
 import json
+import socket
 
 import pytest
 
@@ -94,6 +95,30 @@ class TestValidation:
         assert client.json("GET", "/report?client=c1&url=A")[0] == 405
         assert client.json("POST", "/predict?client=c1")[0] == 405
         assert client.json("GET", "/admin/refresh")[0] == 405
+
+    @pytest.mark.parametrize("length", ["abc", "1.5", "-5"])
+    def test_malformed_content_length_is_400_and_close(self, server, length):
+        before = server.server.errors_total
+        with socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as raw:
+            raw.sendall(
+                b"POST /report?client=c1&url=A HTTP/1.1\r\nHost: t\r\n"
+                + f"Content-Length: {length}\r\n\r\n".encode()
+            )
+            response = b""
+            while chunk := raw.recv(4096):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"error": "malformed Content-Length"}
+        assert server.server.errors_total == before + 1
+        fresh = ServeClient(server.host, server.port)
+        try:
+            assert fresh.json("GET", "/healthz")[0] == 200
+        finally:
+            fresh.close()
 
 
 class TestIntrospection:

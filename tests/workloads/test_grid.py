@@ -49,6 +49,22 @@ class TestSpecValidation:
                 }
             )
 
+    def test_unknown_serve_key_suggests_close_match(self):
+        with pytest.raises(WorkloadError) as excinfo:
+            validate_grid_spec({"serve": {"conections": 2}})
+        message = str(excinfo.value)
+        assert "conections" in message
+        assert "did you mean 'connections'" in message
+
+    @pytest.mark.parametrize(
+        "serve, match",
+        [({"events": 400, "workers": 2}, "'workers'"), (["events"], "mapping")],
+        ids=("workers-key", "not-a-mapping"),
+    )
+    def test_bad_serve_is_rejected(self, serve, match):
+        with pytest.raises(WorkloadError, match=match):
+            validate_grid_spec({"serve": serve})
+
     def test_load_spec_from_file(self, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(

@@ -34,7 +34,6 @@ class TestLiveReplay:
             train_events=400,
             connections=2,
             spawn=True,
-            workers=1,
         )
         assert report["requests_total"] == 150
         assert report["failed_requests"] == 0
@@ -51,7 +50,6 @@ class TestLiveReplay:
             train_events=200,
             connections=1,
             spawn=True,
-            workers=1,
         )
         assert report["failed_requests"] == 0
         assert report["config"]["workload_params"] == {"crawlers": 2}
