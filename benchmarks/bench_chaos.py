@@ -2,9 +2,8 @@
 
 Runs one seeded chaos schedule (:func:`repro.resilience.chaos.run_chaos`)
 — a live server booted against a corrupt snapshot with every serving
-fault injected under loadgen traffic, then a fault-injected parallel
-replay checked bit-identical against a fault-free serial run — and
-writes ``benchmarks/results/BENCH_chaos.json``.
+fault injected under loadgen traffic, then a SIGKILL crash drill of a
+journalled server — and writes ``benchmarks/results/BENCH_chaos.json``.
 
 Unlike the throughput benches there are no performance floors here: the
 artifact records *recovery* counters (faults fired, 503 retries, shed
@@ -34,7 +33,6 @@ def test_chaos_verdict(benchmark):
     assert serving["failed_requests"] == 0
     assert serving["armed_never_fired"] == []
     assert serving["server"]["breaker_state_final"] == "closed"
-    assert report["parallel"]["bit_identical"] is True
 
     written = json.loads(out.read_text(encoding="utf-8"))
     assert written["ok"] is True

@@ -1,27 +1,17 @@
-"""Scaling study: fit cost, model size, and parallel replay speedup.
+"""Scaling study: fit cost and model size vs trace volume.
 
 Not a paper artefact; this bench characterises the substrate so the
 library's own scalability claims are measured, mirroring the paper's
 argument that PB-PPM's storage "increases slightly as the number of days
-for URLs increases" while the baselines grow much faster.  It also
-measures the sharded replay engine (``repro.parallel``) against the
-serial engine on the largest workload and re-checks its bit-equality
-contract outside the unit-test fixtures.
+for URLs increases" while the baselines grow much faster.
 """
 
-import dataclasses
-import os
 import time
 
 from repro.core.lrs import LRSPPM
 from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
 from repro.core.standard import StandardPPM
-from repro.experiments.lab import bench_scale
-from repro.parallel import ParallelPrefetchSimulator
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import PrefetchSimulator
-from repro.sim.metrics import SimulationResult
 from repro.synth.generator import generate_trace
 
 SCALES = (0.25, 0.5, 1.0)
@@ -85,100 +75,3 @@ def test_scaling_with_trace_volume(benchmark, report):
 
     benchmark.pedantic(lambda: _fit_all(0.5), rounds=2, iterations=1)
 
-
-WORKER_COUNTS = (1, 2, 4)
-
-
-def _replay(simulator_cls, model, setup, workers: int):
-    trace, split, popularity, latency = setup
-    config = SimulationConfig.for_model("pb", workers=workers)
-    simulator = simulator_cls(
-        model,
-        trace.url_size_table(),
-        latency,
-        config,
-        popularity=popularity,
-    )
-    started = time.perf_counter()
-    result = simulator.run(
-        split.test_requests, client_kinds=trace.classify_clients()
-    )
-    return result, time.perf_counter() - started
-
-
-def test_parallel_replay_speedup(benchmark, report):
-    """Serial-vs-sharded replay on the largest workload of this bench.
-
-    Records the speedup curve and re-asserts the engine contract: the
-    sharded result is *bit-identical* to the serial one at every worker
-    count.  The >=2x speedup floor at 4 workers only applies on machines
-    that actually have >=4 cores and at full bench scale — single-core
-    CI smoke runs still verify equality, just not wall-clock gains.
-    """
-    from repro.experiments.result import ExperimentResult
-
-    scale = max(SCALES) * bench_scale()
-    trace = generate_trace("nasa-like", days=3, seed=7, scale=scale)
-    split = trace.split(train_days=2)
-    popularity = PopularityTable.from_requests(split.train_requests)
-    from repro.sim.latency import LatencyModel
-
-    latency = LatencyModel.fit_requests(split.train_requests)
-    model = PopularityBasedPPM(popularity).fit(split.train_sessions)
-    setup = (trace, split, popularity, latency)
-
-    serial_result, serial_seconds = _replay(
-        PrefetchSimulator, model, setup, workers=1
-    )
-
-    result = ExperimentResult(
-        experiment_id="scaling-parallel",
-        title="Scaling — sharded replay speedup vs worker count",
-        columns=["engine", "workers", "seconds", "speedup", "identical"],
-        notes=(
-            "Sharded client-mode replay must be bit-identical to serial; "
-            "speedup is wall-clock serial_seconds / parallel_seconds."
-        ),
-    )
-    result.add_row(
-        engine="serial",
-        workers=1,
-        seconds=serial_seconds,
-        speedup=1.0,
-        identical=True,
-    )
-
-    speedups: dict[int, float] = {}
-    for workers in WORKER_COUNTS:
-        parallel_result, seconds = _replay(
-            ParallelPrefetchSimulator, model, setup, workers=workers
-        )
-        identical = all(
-            getattr(serial_result, field.name)
-            == getattr(parallel_result, field.name)
-            for field in dataclasses.fields(SimulationResult)
-            if field.name != "labels"
-        )
-        assert identical, f"workers={workers} diverged from serial replay"
-        speedups[workers] = serial_seconds / seconds
-        result.add_row(
-            engine="sharded",
-            workers=workers,
-            seconds=seconds,
-            speedup=speedups[workers],
-            identical=identical,
-        )
-    report(result)
-
-    # The wall-clock floor is only meaningful with real cores to use and
-    # a workload big enough to amortise process start-up.
-    if (os.cpu_count() or 1) >= 4 and bench_scale() >= 1.0:
-        assert speedups[4] >= 2.0, (
-            f"expected >=2x at 4 workers, got {speedups[4]:.2f}x"
-        )
-
-    benchmark.pedantic(
-        lambda: _replay(ParallelPrefetchSimulator, model, setup, workers=2),
-        rounds=2,
-        iterations=1,
-    )

@@ -54,9 +54,7 @@ def main(argv: "list[str]") -> int:
 
         start = time.perf_counter()
         trace = Trace.from_columnar_file(path)
-        result, info = _evaluate(
-            trace, model="pb", train_fraction=0.7, workers=1
-        )
+        result, info = _evaluate(trace, model="pb", train_fraction=0.7)
         eval_seconds = time.perf_counter() - start
     finally:
         os.unlink(path)

@@ -21,9 +21,9 @@ Subcommands
 ``loadgen``     Replay a synthetic trace against a running (or spawned)
                 server and report throughput / latency percentiles.
 ``chaos``       Seeded fault-injection run: every injection site armed
-                against a live server plus a fault-injected parallel
-                replay; passes only with zero failed predictions and a
-                bit-identical merge.
+                against a live server plus a SIGKILL crash drill; passes
+                only with zero failed predictions and zero lost
+                acknowledged reports.
 """
 
 from __future__ import annotations
@@ -260,9 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="override the per-scenario event count",
     )
     grid.add_argument("--out", default=None, help="write the results tree JSON")
-    grid.add_argument(
-        "--workers", type=int, default=None, help="replay worker processes"
-    )
     _add_sampling_flags(grid)
 
     summarize = sub.add_parser("summarize", help="print trace statistics")
@@ -307,15 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run once per seed and report mean ± std",
     )
     experiment.add_argument("--scale", type=_scale_value, default=None)
-    experiment.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help=(
-            "worker processes for sharded client-mode replay "
-            "(0 = one per CPU core; results are identical to serial)"
-        ),
-    )
     experiment.add_argument(
         "--csv", action="store_true", help="emit CSV instead of a table"
     )
@@ -383,9 +371,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="metric the budget applies to (default: hit_ratio)",
     )
     fidelity.add_argument(
-        "--workers", type=int, default=None, help="replay worker processes"
-    )
-    fidelity.add_argument(
         "--out", default=None, help="write the fidelity report JSON"
     )
 
@@ -404,14 +389,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     report.add_argument("--seed", type=_seed_value, default=None)
     report.add_argument("--scale", type=_scale_value, default=None)
-    report.add_argument("--workers", type=int, default=None)
 
     verify = sub.add_parser(
         "verify", help="re-validate every paper result shape (PASS/FAIL list)"
     )
     verify.add_argument("--seed", type=_seed_value, default=None)
     verify.add_argument("--scale", type=_scale_value, default=None)
-    verify.add_argument("--workers", type=int, default=None)
 
     render = sub.add_parser(
         "render", help="fit a model on a synthetic profile and print its tree"
@@ -575,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     chaos = sub.add_parser(
         "chaos",
-        help="seeded fault-injection run against a live server + replay",
+        help="seeded fault-injection run against a live server + crash drill",
     )
     chaos.add_argument("--seed", type=_seed_value, default=7)
     chaos.add_argument("--profile", default="nasa-like")
@@ -695,7 +678,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     tree = run_grid(
         spec,
         events=args.events,
-        workers=args.workers,
         out=args.out,
         progress=lambda line: print(line, file=sys.stderr),
         sample_rate=args.sample_rate,
@@ -740,15 +722,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_workers(args: argparse.Namespace) -> None:
-    """Honour a ``--workers`` flag for every lab the command touches."""
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        from repro.experiments.lab import set_default_workers
-
-        set_default_workers(workers)
-
-
 def _apply_sampling(args: argparse.Namespace) -> None:
     """Honour ``--sample-rate`` for every lab the command touches."""
     rate = getattr(args, "sample_rate", None)
@@ -759,7 +732,6 @@ def _apply_sampling(args: argparse.Namespace) -> None:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    _apply_workers(args)
     _apply_sampling(args)
     overrides: dict = {}
     if args.scale is not None:
@@ -794,7 +766,6 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
         train_fraction=args.train_fraction,
         salt=args.salt,
         model=args.model,
-        workers=args.workers,
         progress=lambda line: print(line, file=sys.stderr),
     )
     picked = None
@@ -816,7 +787,6 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    _apply_workers(args)
     from repro.experiments.report import all_experiment_ids, build_report
 
     ids = all_experiment_ids() if args.all else args.ids
@@ -831,7 +801,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _apply_workers(args)
     from repro.experiments.shapes import format_outcomes, verify_shapes
 
     outcomes = verify_shapes(seed=args.seed, scale=args.scale)

@@ -301,7 +301,7 @@ class PPMModel(ABC):
         return used / total if total else 0.0
 
     def collect_used_paths(self) -> list[tuple[str, ...]]:
-        """Root URL paths of every node marked used (for shard merging)."""
+        """Root URL paths of every node marked used, sorted."""
         return self._store.collect_used_paths(self._symbols)
 
     def mark_used_paths(self, paths: Sequence[tuple[str, ...]]) -> None:

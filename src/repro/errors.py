@@ -37,22 +37,6 @@ class SimulationError(ReproError):
     """The trace-driven simulator was configured inconsistently."""
 
 
-class WorkerCrash(SimulationError):
-    """A shard worker process died (crashed, or injected to crash).
-
-    Raised inside worker processes, so it must pickle cleanly across the
-    process boundary — keep it a plain one-argument exception.
-    """
-
-
-class ReplayInterrupted(SimulationError):
-    """A parallel replay was interrupted (SIGTERM / KeyboardInterrupt).
-
-    The engine shuts its worker pool down quietly and surfaces this one
-    typed error instead of letting every worker spew a traceback.
-    """
-
-
 class ResilienceError(ReproError):
     """The fault-injection harness was configured incorrectly."""
 

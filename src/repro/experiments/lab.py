@@ -5,15 +5,6 @@ generates each trace once, fits each (model, train-days) pair once, and
 caches every simulator run, so a full benchmark session does not repeat
 work.  ``REPRO_BENCH_SCALE`` (environment variable) scales the client
 population of every lab — set it below 1.0 for quick smoke runs.
-
-Replay parallelism: every client-mode cell replays through
-:class:`repro.parallel.ParallelPrefetchSimulator`, sharded across the
-lab's ``workers`` (CLI ``--workers``, ``REPRO_WORKERS`` environment
-variable, or :func:`set_default_workers`).  Sharded results are
-bit-identical to serial replay, so the fit/run caches are shard-safe by
-construction: ``workers`` is deliberately *not* part of any cache key —
-it only changes wall-clock, never numbers — and models are always fitted
-in the parent process before shards are dispatched.
 """
 
 from __future__ import annotations
@@ -29,8 +20,8 @@ from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
 from repro.core.standard import StandardPPM
 from repro.errors import ExperimentError
-from repro.parallel import ParallelPrefetchSimulator
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import PrefetchSimulator
 from repro.sim.latency import LatencyModel
 from repro.sim.metrics import SimulationResult
 from repro.synth.generator import generate_trace
@@ -43,38 +34,6 @@ DEFAULT_SEED = 7
 def bench_scale() -> float:
     """Workload scale factor from the REPRO_BENCH_SCALE environment variable."""
     return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-
-_default_workers_override: int | None = None
-
-
-def default_workers() -> int:
-    """Worker-process count new labs replay with.
-
-    Resolution order: :func:`set_default_workers` override, then the
-    ``REPRO_WORKERS`` environment variable, then
-    :data:`repro.params.DEFAULT_WORKERS` (1, i.e. serial).  ``0`` means
-    one worker per CPU core.
-    """
-    if _default_workers_override is not None:
-        return _default_workers_override
-    return int(os.environ.get("REPRO_WORKERS", str(params.DEFAULT_WORKERS)))
-
-
-def set_default_workers(workers: int | None) -> None:
-    """Set (or with ``None`` clear) the process-wide replay worker count.
-
-    The CLI's ``--workers`` flag lands here.  Only wall-clock changes:
-    sharded replay is bit-identical to serial, so cached runs stay valid.
-    Existing labs are updated too, since :func:`get_lab` hands out
-    long-lived cached instances.
-    """
-    global _default_workers_override
-    if workers is not None and workers < 0:
-        raise ExperimentError(f"workers must be >= 0, got {workers}")
-    _default_workers_override = workers
-    for lab in _LABS.values():
-        lab.workers = default_workers()
 
 
 _default_sampling_override: "tuple[float, int] | None" = None
@@ -98,9 +57,9 @@ def default_sampling() -> "tuple[float, int] | None":
 def set_default_sampling(rate: float | None, salt: int = 0) -> None:
     """Set (or with ``None`` clear) process-wide client-hash sampling.
 
-    The CLI's ``--sample-rate`` flag lands here.  Unlike ``workers``
-    this *changes results* (a sampled lab replays a client subset), so
-    existing labs are left untouched — the sampling spec is part of the
+    The CLI's ``--sample-rate`` flag lands here.  Sampling *changes
+    results* (a sampled lab replays a client subset), so existing labs
+    are left untouched — the sampling spec is part of the
     :func:`get_lab` cache key, and only labs built after this call see
     the new default.
     """
@@ -125,11 +84,6 @@ class WorkloadLab:
         Days to generate; training sweeps may use up to ``total_days - 1``.
     seed / scale:
         Generator seed and client-population scale.
-    workers:
-        Worker processes for sharded client-mode replay (default: the
-        process-wide :func:`default_workers`).  Never affects results —
-        only how fast a cell evaluates — so it is excluded from every
-        cache key.
     sample_rate / sample_salt:
         Client-hash sampling applied to the generated trace before any
         derivation (default: the process-wide :func:`default_sampling`).
@@ -143,7 +97,6 @@ class WorkloadLab:
         *,
         seed: int = DEFAULT_SEED,
         scale: float | None = None,
-        workers: int | None = None,
         sample_rate: float | None = None,
         sample_salt: int | None = None,
     ) -> None:
@@ -151,7 +104,6 @@ class WorkloadLab:
         self.total_days = total_days
         self.seed = seed
         self.scale = scale if scale is not None else bench_scale()
-        self.workers = workers if workers is not None else default_workers()
         if sample_rate is None:
             default = default_sampling()
             if default is not None:
@@ -293,11 +245,11 @@ class WorkloadLab:
             overrides["prefetch_size_limit_bytes"] = prefetch_limit
         if cache_policy is not None:
             overrides["cache_policy"] = cache_policy
-        config = self.config_for(model_key, workers=self.workers, **overrides)
+        config = self.config_for(model_key, **overrides)
         model = self.model(model_key, train_days)
         if escape is not None:
             model = _EscapeWrapper(model, escape)
-        simulator = ParallelPrefetchSimulator(
+        simulator = PrefetchSimulator(
             model,
             self.url_sizes,
             self.latency(train_days),
@@ -332,11 +284,9 @@ class WorkloadLab:
         """Evaluate a list of grid cells, one :meth:`run` call per cell.
 
         Each cell is a keyword mapping for :meth:`run` (``model_key`` and
-        ``train_days`` required).  Cells are evaluated in order — results
-        must not depend on evaluation order, and they do not: each cell's
-        replay is itself sharded across the lab's ``workers`` and cached
-        under the same keys a direct :meth:`run` call would use, so grid
-        sweeps (Figure 3/4 style) transparently use parallel replay.
+        ``train_days`` required).  Cells are evaluated in order and cached
+        under the same keys a direct :meth:`run` call would use, so a
+        grid sweep (Figure 3/4 style) shares runs with single cells.
         """
         return [self.run(**dict(cell)) for cell in cells]
 
@@ -375,17 +325,14 @@ def get_lab(
     *,
     seed: int = DEFAULT_SEED,
     scale: float | None = None,
-    workers: int | None = None,
     sample_rate: float | None = None,
     sample_salt: int | None = None,
 ) -> WorkloadLab:
     """Process-wide lab cache so experiments share traces and models.
 
-    ``workers`` updates the cached lab's replay parallelism when given;
-    it is not part of the cache key because sharded replay is
-    bit-identical to serial (only wall-clock changes).  The sampling
-    spec *is* part of the key: a sampled lab replays a client subset,
-    so its results must never be confused with a full lab's.
+    The sampling spec is part of the cache key: a sampled lab replays a
+    client subset, so its results must never be confused with a full
+    lab's.
     """
     resolved_scale = scale if scale is not None else bench_scale()
     if sample_rate is None:
@@ -403,10 +350,7 @@ def get_lab(
             sample_rate=sample_rate,
             sample_salt=resolved_salt,
         )
-    lab = _LABS[key]
-    if workers is not None:
-        lab.workers = workers
-    return lab
+    return _LABS[key]
 
 
 def clear_labs() -> None:

@@ -20,8 +20,7 @@ class SymbolTable:
 
     Ids are handed out in first-intern order starting at 0 and are never
     reused, so any sequence interned through one table stays decodable for
-    the table's lifetime.  Tables pickle as a flat URL list, which is what
-    makes interned model shards cheap to ship to worker processes.
+    the table's lifetime.
     """
 
     __slots__ = ("_ids", "_urls")
@@ -79,15 +78,6 @@ class SymbolTable:
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._urls)
-
-    # -- pickling ------------------------------------------------------------
-
-    def __getstate__(self) -> list[str]:
-        return self._urls
-
-    def __setstate__(self, urls: list[str]) -> None:
-        self._urls = list(urls)
-        self._ids = {url: sym for sym, url in enumerate(self._urls)}
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"SymbolTable({len(self._urls)} urls)"

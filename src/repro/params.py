@@ -234,24 +234,6 @@ SERVE_WAL_SEGMENT_MAX_BYTES: int = 4 * 1024 * 1024
 SERVE_WAL_SEGMENT_MAX_AGE_S: float = 300.0
 
 # --------------------------------------------------------------------------
-# Replay parallelism (not a paper constant; see repro.parallel)
-# --------------------------------------------------------------------------
-
-#: Per-shard replay deadline, seconds, measured while the engine waits on
-#: the shard's worker.  A shard that exceeds it is treated as hung: its
-#: pool is abandoned and the shard retried on a replacement.
-PARALLEL_SHARD_TIMEOUT_S: float = 300.0
-
-#: How many times a crashed or hung shard is retried on replacement
-#: workers before the engine replays it in-process (the deterministic
-#: last resort that cannot crash independently).
-PARALLEL_SHARD_RETRIES: int = 2
-
-#: Base, seconds, of the exponential backoff between shard retry rounds
-#: (round ``n`` sleeps ``base * 2**n``).
-PARALLEL_RETRY_BACKOFF_S: float = 0.05
-
-# --------------------------------------------------------------------------
 # Fault injection (never armed in production; see repro.resilience.faults)
 # --------------------------------------------------------------------------
 
@@ -260,10 +242,3 @@ PARALLEL_RETRY_BACKOFF_S: float = 0.05
 #: the zero-overhead-when-disabled contract.  Install via
 #: :func:`repro.resilience.faults.install`, not by assigning here.
 FAULT_PLAN = None  # type: ignore[var-annotated]
-
-#: Default worker-process count for sharded client-mode replay.  1 keeps
-#: every run serial (the paper's single-threaded simulator); 0 means "one
-#: worker per CPU core".  The CLI's ``--workers`` flag and the
-#: ``REPRO_WORKERS`` environment variable override it per invocation, and
-#: the sharded engine guarantees results bit-identical to a serial run.
-DEFAULT_WORKERS: int = 1

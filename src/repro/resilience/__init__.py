@@ -4,13 +4,12 @@ Three pieces:
 
 * :mod:`repro.resilience.faults` — the seeded :class:`FaultPlan` and the
   zero-overhead :func:`fire` hook that arms named injection points across
-  the snapshot, rebuild, parallel-replay and loadgen paths.
+  the snapshot, rebuild, serving, journal and loadgen paths.
 * :mod:`repro.resilience.breaker` — the :class:`CircuitBreaker` the
   serving layer wraps around model rebuilds.
 * :mod:`repro.resilience.chaos` — the seeded chaos harness behind
   ``repro chaos``: a live server under loadgen traffic with every fault
-  type armed, plus a fault-injected parallel replay checked bit-identical
-  against the fault-free run.
+  type armed, plus a SIGKILL crash drill of a journalled server.
 """
 
 from repro.resilience.breaker import CircuitBreaker

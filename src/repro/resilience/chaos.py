@@ -1,7 +1,7 @@
 """Seeded chaos runs: every fault armed, zero predictions lost.
 
 ``repro chaos`` is the executable proof of the resilience story.  One run
-(:func:`run_chaos`) drives three phases from a single seed:
+(:func:`run_chaos`) drives two phases from a single seed:
 
 **Serving phase** — a live :class:`~repro.serve.server.PrefetchServer` is
 booted against a *corrupt* snapshot file (exercising boot quarantine)
@@ -25,12 +25,6 @@ report in a ledger.  The journal on disk must contain every ledger entry
 them on boot, and a SIGTERM must shut it down gracefully with a final
 snapshot that covers the whole journal.
 
-**Parallel phase** — a sharded replay runs with worker crashes *and*
-hangs injected on every shard's first two dispatches, and its merged
-result is compared field-by-field against a fault-free serial run.  The
-bar: **bit-identical** (the supervised-retry contract of
-:mod:`repro.parallel.engine`).
-
 The report (written to ``benchmarks/results/BENCH_chaos.json`` by the CI
 smoke job) records the per-site fire counts, the recovery counters of
 every subsystem, and the per-phase verdicts folded into one ``ok``.
@@ -40,7 +34,6 @@ Everything is deterministic in the seed except wall-clock durations.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import glob
 import http.client
 import json
@@ -53,18 +46,11 @@ import threading
 import time
 
 from repro import params
-from repro.core.pb import PopularityBasedPPM
-from repro.core.popularity import PopularityTable
-from repro.parallel.engine import ParallelPrefetchSimulator
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.faults import FaultPlan, injected
 from repro.serve.loadgen import _build_events, _replay
 from repro.serve.snapshot import restore_snapshot, restore_snapshot_state
 from repro.serve.wal import read_journal
-from repro.sim.config import SimulationConfig
-from repro.sim.engine import PrefetchSimulator
-from repro.sim.latency import LatencyModel
-from repro.sim.metrics import SimulationResult
 from repro.synth.generator import generate_trace
 from repro.trace.dataset import Trace
 
@@ -109,15 +95,6 @@ def _serving_plan(seed: int, *, events_per_burst: int) -> FaultPlan:
         .arm("wal.write_error", after=5, times=2)
         .arm("wal.torn_tail", after=events_per_burst + 6, times=1)
         .arm("wal.fsync_stall", times=1, delay_s=0.2)
-    )
-
-
-def _parallel_plan(seed: int) -> FaultPlan:
-    """Every shard crashes on dispatch 1 and hangs on dispatch 2."""
-    return (
-        FaultPlan(seed)
-        .arm("parallel.worker_crash", times=1)
-        .arm("parallel.worker_hang", after=1, times=1, delay_s=1.0)
     )
 
 
@@ -487,61 +464,6 @@ def _metric_value(metrics: str, name: str) -> int | None:
     return None
 
 
-def _run_parallel_phase(seed: int, *, profile: str, scale: float) -> dict:
-    trace = generate_trace(profile, days=2, seed=seed, scale=min(scale, 0.2))
-    split = trace.split(train_days=1)
-    popularity = PopularityTable.from_requests(split.train_requests)
-    model = PopularityBasedPPM(popularity).fit(split.train_sessions)
-    latency = LatencyModel.fit_requests(split.train_requests)
-    url_sizes = trace.url_size_table()
-    client_kinds = trace.classify_clients()
-
-    def replay(simulator_cls, workers: int) -> SimulationResult:
-        simulator = simulator_cls(
-            model,
-            url_sizes,
-            latency,
-            SimulationConfig.for_model("pb", workers=workers),
-            popularity=popularity,
-        )
-        return simulator.run(split.test_requests, client_kinds=client_kinds)
-
-    serial = replay(PrefetchSimulator, 1)
-
-    engine = ParallelPrefetchSimulator(
-        model,
-        url_sizes,
-        latency,
-        SimulationConfig.for_model("pb", workers=3),
-        popularity=popularity,
-    )
-    engine.shard_timeout_s = 0.5
-    engine.shard_retries = 2
-    engine.retry_backoff_s = 0.01
-    with injected(_parallel_plan(seed)):
-        parallel = engine.run(split.test_requests, client_kinds=client_kinds)
-
-    mismatched = [
-        field.name
-        for field in dataclasses.fields(SimulationResult)
-        if field.name != "labels"
-        and getattr(serial, field.name) != getattr(parallel, field.name)
-    ]
-    recovery = engine.recovery
-    return {
-        "test_requests": len(split.test_requests),
-        "bit_identical": not mismatched,
-        "mismatched_fields": mismatched,
-        "shard_crashes": recovery.shard_crashes if recovery else 0,
-        "shard_hangs": recovery.shard_hangs if recovery else 0,
-        "shard_retries": recovery.shard_retries if recovery else 0,
-        "retry_rounds": recovery.retry_rounds if recovery else 0,
-        "in_process_fallbacks": (
-            recovery.in_process_fallbacks if recovery else 0
-        ),
-    }
-
-
 def run_chaos(
     seed: int = 7,
     *,
@@ -560,8 +482,7 @@ def run_chaos(
     while every armed fault fired, the breaker closed again, the journal
     absorbed its injected faults and ended fully covered by the final
     snapshot, the SIGKILL crash drill lost zero acknowledged reports and
-    restarted + shut down cleanly, and the fault-injected parallel replay
-    merged bit-identical to the fault-free serial run.
+    restarted + shut down cleanly.
     """
     serving = _run_serving_phase(
         seed,
@@ -575,7 +496,6 @@ def run_chaos(
     crash = _run_crash_phase(
         seed, profile=profile, scale=scale, train_days=train_days
     )
-    parallel = _run_parallel_phase(seed, profile=profile, scale=scale)
     report = {
         "config": {
             "seed": seed,
@@ -588,7 +508,6 @@ def run_chaos(
         },
         "serving": serving,
         "crash": crash,
-        "parallel": parallel,
         "ok": (
             serving["failed_requests"] == 0
             and serving["prediction_urls_returned"] > 0
@@ -601,9 +520,6 @@ def run_chaos(
             and crash["zero_loss"]
             and crash["graceful_exit_code"] == 0
             and crash["post_shutdown_unsnapshotted_reports"] == 0
-            and parallel["bit_identical"]
-            and parallel["shard_crashes"] > 0
-            and parallel["shard_hangs"] > 0
         ),
     }
     if out:
@@ -619,7 +535,6 @@ def format_chaos_report(report: dict) -> str:
     """A compact human-readable rendering of a chaos report."""
     serving = report["serving"]
     crash = report["crash"]
-    parallel = report["parallel"]
     fires = ", ".join(
         f"{site} x{count}" for site, count in sorted(
             serving["fault_fires"].items()
@@ -649,10 +564,6 @@ def format_chaos_report(report: dict) -> str:
         f" lost {crash['lost_acked_reports']},"
         f" replayed {crash['restart_records_replayed']}"
         f" on restart, graceful exit {crash['graceful_exit_code']}",
-        f"parallel replay    crashes {parallel['shard_crashes']},"
-        f" hangs {parallel['shard_hangs']},"
-        f" retries {parallel['shard_retries']}"
-        f" -> bit-identical {parallel['bit_identical']}",
     ]
     if serving["armed_never_fired"]:
         lines.append(

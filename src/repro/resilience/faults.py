@@ -10,8 +10,7 @@ provides that determinism:
   recovery" mirrors it).
 * :class:`FaultPlan` arms a subset of those sites with deterministic
   firing windows (``after`` / ``times``) and optionally a seeded
-  probability; it is picklable, so the parallel engine ships it into
-  worker processes.
+  probability.
 * :func:`fire` is the zero-overhead hook the instrumented code calls.
   When no plan is installed (``params.FAULT_PLAN is None`` — the default,
   and the only state production code ever sees) it is a single attribute
@@ -50,13 +49,6 @@ INJECTION_SITES: dict[str, str] = {
     ),
     "rebuild.stall": (
         "model rebuild sleeps delay_s, exceeding the rebuild deadline"
-    ),
-    "parallel.worker_crash": (
-        "shard worker raises WorkerCrash instead of replaying its shard"
-    ),
-    "parallel.worker_hang": (
-        "shard worker sleeps delay_s before replaying, exceeding the "
-        "per-shard deadline"
     ),
     "serve.slow_request": (
         "request dispatch sleeps delay_s, exceeding the request timeout "
@@ -112,11 +104,7 @@ class FaultPlan:
 
     Decisions depend only on the seed, the site name and the order of
     checks at that site — never on wall-clock time or global RNG state —
-    so a failing chaos run replays exactly.  Instances are picklable and
-    independent per process: the parallel engine ships the plan to shard
-    workers together with a per-attempt ``offset`` so a fault armed with
-    ``times=2`` fires on the first two *dispatches* of a shard, not twice
-    in whichever process happens to check first.
+    so a failing chaos run replays exactly.
 
     >>> plan = FaultPlan(seed=7).arm("snapshot.io_error", times=2)
     >>> [bool(plan.should_fire("snapshot.io_error")) for _ in range(3)]
@@ -178,18 +166,12 @@ class FaultPlan:
             if state.fires
         }
 
-    def should_fire(self, site: str, *, offset: int = 0) -> FaultSpec | None:
-        """One deterministic check of ``site``.
-
-        ``offset`` shifts the check index without consuming local state —
-        the parallel engine passes the dispatch attempt number so a
-        retried shard advances through the firing window even though each
-        worker process starts with fresh counters.
-        """
+    def should_fire(self, site: str) -> FaultSpec | None:
+        """One deterministic check of ``site``."""
         state = self._sites.get(site)
         if state is None:
             return None
-        index = state.checks + offset
+        index = state.checks
         state.checks += 1
         spec = state.spec
         if index < spec.after:
@@ -200,13 +182,6 @@ class FaultPlan:
             return None
         state.fires += 1
         return spec
-
-    def __getstate__(self) -> dict:
-        return {"seed": self.seed, "sites": dict(self._sites)}
-
-    def __setstate__(self, state: dict) -> None:
-        self.seed = state["seed"]
-        self._sites = dict(state["sites"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultPlan(seed={self.seed}, armed={self.armed_sites})"
@@ -226,7 +201,7 @@ def active_plan() -> FaultPlan | None:
     return params.FAULT_PLAN
 
 
-def fire(site: str, *, offset: int = 0) -> FaultSpec | None:
+def fire(site: str) -> FaultSpec | None:
     """The hook instrumented code calls at an injection site.
 
     With no plan installed this is one global read and a ``None`` check —
@@ -236,7 +211,7 @@ def fire(site: str, *, offset: int = 0) -> FaultSpec | None:
     plan = params.FAULT_PLAN
     if plan is None:
         return None
-    return plan.should_fire(site, offset=offset)
+    return plan.should_fire(site)
 
 
 @contextmanager

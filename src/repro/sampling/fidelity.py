@@ -134,11 +134,11 @@ def _metric_error(metric: str, sampled: Mapping, full: Mapping) -> float:
     return float(sampled[f"{metric}_scaled"] / reference - 1.0)
 
 
-def _evaluate(trace: Trace, *, model: str, train_fraction: float, workers: int):
+def _evaluate(trace: Trace, *, model: str, train_fraction: float):
     """One grid-style cell evaluation; returns (SimulationResult, stats)."""
     from repro.core.popularity import PopularityTable
-    from repro.parallel import ParallelPrefetchSimulator
     from repro.sim.config import SimulationConfig
+    from repro.sim.engine import PrefetchSimulator
     from repro.sim.latency import LatencyModel
     from repro.workloads.grid import build_model, fraction_cut, fraction_split
 
@@ -149,8 +149,8 @@ def _evaluate(trace: Trace, *, model: str, train_fraction: float, workers: int):
     fitted = build_model(model, popularity, None)
     fitted.fit(split.train_sessions)
     base = "pb" if model.startswith("pb") else model
-    config = SimulationConfig.for_model(base, workers=workers)
-    simulator = ParallelPrefetchSimulator(
+    config = SimulationConfig.for_model(base)
+    simulator = PrefetchSimulator(
         fitted,
         trace.url_size_table(),
         latency,
@@ -177,7 +177,6 @@ def run_fidelity(
     train_fraction: float = 0.7,
     salt: int = 0,
     model: str = "pb",
-    workers: int | None = None,
     coverage: float = 0.95,
     progress=None,
 ) -> dict:
@@ -190,7 +189,6 @@ def run_fidelity(
     sampling itself.  Timing covers sampling + derivation + fit +
     replay (the work a sampled grid cell actually does).
     """
-    from repro.experiments.lab import default_workers
     from repro.workloads.bridge import stream_to_columnar
     from repro.workloads.registry import create_workload
 
@@ -201,8 +199,6 @@ def run_fidelity(
     if not rates:
         raise SamplingError("fidelity needs at least one rate")
     samplers = {float(r): ClientSampler(float(r), salt=salt) for r in rates}
-    if workers is None:
-        workers = default_workers()
     say = progress if progress is not None else (lambda line: None)
     report: dict = {
         "config": {
@@ -232,7 +228,7 @@ def run_fidelity(
             trace = Trace.from_columnar_file(path, name=f"{workload}@{seed}")
             start = time.perf_counter()
             result, stats = _evaluate(
-                trace, model=model, train_fraction=train_fraction, workers=workers
+                trace, model=model, train_fraction=train_fraction
             )
             full_seconds = time.perf_counter() - start
             metrics = _result_metrics(result)
@@ -253,7 +249,6 @@ def run_fidelity(
                         sampled_trace,
                         model=model,
                         train_fraction=train_fraction,
-                        workers=workers,
                     )
                 except (TraceError, WorkloadError) as exc:
                     node[str(seed)] = {"degenerate": True, "reason": str(exc)}

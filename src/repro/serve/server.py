@@ -67,6 +67,8 @@ _STATUS_REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
+    413: "Content Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -106,6 +108,13 @@ def _split_target(target: str) -> tuple[str, dict[str, str]]:
 
 def _error_body(status: int, message: str) -> tuple[int, str, bytes]:
     return _json_body(status, {"error": message})
+
+
+#: Largest request body the server reads: the StreamReader's default
+#: buffer limit, which already bounds the request head.  A report body is
+#: a few dozen bytes of JSON; a longer declared length is refused before
+#: any of it is read.
+_MAX_BODY_BYTES = 64 * 1024
 
 
 def _content_length(headers: dict[str, str]) -> int | None:
@@ -513,7 +522,36 @@ class PrefetchServer:
                         close=True,
                     )
                     break
-                body = await reader.readexactly(length) if length else b""
+                if length > _MAX_BODY_BYTES:
+                    self.errors_total += 1
+                    await self._write_response(
+                        writer,
+                        *_error_body(
+                            413,
+                            f"request body over {_MAX_BODY_BYTES} bytes",
+                        ),
+                        close=True,
+                    )
+                    break
+                body = b""
+                if length:
+                    # A body shorter than its Content-Length would
+                    # otherwise hold the connection forever.
+                    try:
+                        async with asyncio.timeout(self.request_timeout_s):
+                            body = await reader.readexactly(length)
+                    except TimeoutError:
+                        self.errors_total += 1
+                        await self._write_response(
+                            writer,
+                            *_error_body(
+                                408,
+                                "request body not received within "
+                                f"{self.request_timeout_s:.1f}s",
+                            ),
+                            close=True,
+                        )
+                        break
                 close = headers.get("connection", "").lower() == "close"
                 retry_after: float | None = None
                 if self._inflight >= self.max_inflight:
@@ -627,43 +665,32 @@ class PrefetchServer:
     async def _dispatch(
         self, method: str, target: str, body: bytes
     ) -> tuple[int, str, bytes]:
+        """The awaitable lane: admin routes, and every fault-armed request.
+
+        Everything but ``/admin/*`` goes on to :meth:`_dispatch_fast`, so
+        a fault-armed request is routed by the production route table.
+        """
         spec = fire("serve.slow_request")
         if spec is not None:
             # Injected handler stall: holds an in-flight slot (driving the
             # shed path) and overruns the request deadline.
             await asyncio.sleep(spec.delay_s)
-        split = urlsplit(target)
-        path = split.path
-        query = dict(parse_qsl(split.query))
+        if not target.startswith("/admin/"):
+            return self._dispatch_fast(method, target, body)
+        path, _ = _split_target(target)
         self.requests_total[path] = self.requests_total.get(path, 0) + 1
-        if path == "/report":
-            if method != "POST":
-                return _error_body(405, "use POST /report")
-            return self._handle_report(query, body)
-        if path == "/predict":
-            if method != "GET":
-                return _error_body(405, "use GET /predict")
-            return self._handle_predict(query)
-        if path == "/healthz":
-            return self._handle_healthz()
-        if path == "/metrics":
-            return self._handle_metrics()
-        if path.startswith("/admin/"):
-            if method != "POST":
-                return _error_body(405, "admin endpoints use POST")
-            return await self._handle_admin(path)
-        return _error_body(404, f"unknown path {path!r}")
+        if method != "POST":
+            return _error_body(405, "admin endpoints use POST")
+        return await self._handle_admin(path)
 
     def _dispatch_fast(
         self, method: str, target: str, body: bytes
     ) -> tuple[int, str, bytes]:
-        """Synchronous data-plane twin of :meth:`_dispatch`.
+        """The data-plane route table: every path but ``/admin/*``.
 
-        Routes exactly the non-admin surface (``/admin/*`` never reaches
-        this — the connection loop sends it down the ``wait_for`` lane)
-        with the same handlers, counters and error responses; the only
-        differences are the fast target parser and the absence of the
-        per-request task.
+        Synchronous, so the connection loop calls it inline with no
+        per-request task or timer; :meth:`_dispatch` hands it every
+        non-admin target it receives.
         """
         path, query = _split_target(target)
         self.requests_total[path] = self.requests_total.get(path, 0) + 1

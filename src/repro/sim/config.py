@@ -57,13 +57,6 @@ class SimulationConfig:
         and the caching-only shadow are retained on the result, enabling
         percentile reporting (p50/p95) in addition to the paper's mean
         latency reduction.
-    workers:
-        Worker processes for sharded client-mode replay
-        (:mod:`repro.parallel`).  ``1`` replays serially (the default);
-        ``0`` means "one per CPU core"; values above 1 partition the
-        trace by client and replay shards concurrently, with results
-        guaranteed bit-identical to a serial run.  Proxy-mode replay
-        shares one proxy cache across clients and always runs serially.
     """
 
     prediction_threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD
@@ -78,13 +71,8 @@ class SimulationConfig:
     idle_timeout_seconds: float = params.SESSION_IDLE_TIMEOUT_S
     cache_policy: str = "lru"
     collect_latencies: bool = False
-    workers: int = params.DEFAULT_WORKERS
 
     def __post_init__(self) -> None:
-        if self.workers < 0:
-            raise SimulationError(
-                f"workers must be >= 0 (0 = one per CPU core): {self.workers}"
-            )
         if not 0.0 <= self.prediction_threshold <= 1.0:
             raise SimulationError(
                 f"prediction_threshold out of [0, 1]: {self.prediction_threshold}"

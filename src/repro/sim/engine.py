@@ -42,10 +42,9 @@ RequestStream = "Sequence[Request] | RequestBatch"
 def request_sort_key(request: Request) -> tuple[float, str]:
     """The engine's deterministic replay order: (timestamp, client).
 
-    Exposed so :mod:`repro.parallel` can reproduce the serial iteration
-    order exactly when merging per-shard streams; Python's sort is stable,
-    so requests with equal keys keep their input order (which sharding by
-    client preserves, because equal keys always belong to one client).
+    Python's sort is stable, so requests with equal keys keep their input
+    order; :class:`~repro.trace.columnar.RequestBatch` rows are pre-sorted
+    by the same key.
     """
     return (request.timestamp, request.client)
 

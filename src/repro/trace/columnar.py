@@ -1041,7 +1041,7 @@ def materialize_sessions(
 
 
 # ---------------------------------------------------------------------------
-# The replay batch the simulator and the parallel engine consume
+# The replay batch the simulator consumes
 # ---------------------------------------------------------------------------
 
 
@@ -1049,10 +1049,8 @@ class RequestBatch:
     """Column-backed page views in replay order, for the simulator.
 
     Rows are pre-sorted by the engine's ``(timestamp, client)`` replay
-    key, so the serial engine iterates primitive columns directly instead
-    of sorting and unpacking ``Request`` objects; the parallel engine
-    shards by slicing row ranges (cheap array pickles) instead of
-    pickling request lists.
+    key, so the engine iterates primitive columns directly instead of
+    sorting and unpacking ``Request`` objects.
     """
 
     __slots__ = (
@@ -1079,13 +1077,6 @@ class RequestBatch:
 
     def __len__(self) -> int:
         return len(self.timestamps)
-
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __setstate__(self, state: dict) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
 
     @classmethod
     def from_request_columns(
@@ -1152,14 +1143,6 @@ class RequestBatch:
                 self.total_bytes.tolist(),
             )
         )
-
-    def replay_keys(self) -> list[tuple[float, str]]:
-        """Per-row ``(timestamp, client)`` keys, aligned with replay order."""
-        client_table = self.client_table
-        return [
-            (ts, client_table[cid])
-            for ts, cid in zip(self.timestamps.tolist(), self.clients.tolist())
-        ]
 
     def take(self, rows: np.ndarray) -> "RequestBatch":
         """Row subset (ascending ``rows`` keeps replay order), tables shared."""

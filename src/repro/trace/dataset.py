@@ -313,9 +313,8 @@ class Trace:
         """Column-backed replay batch of the given days' page views.
 
         The batch feeds :meth:`repro.sim.engine.PrefetchSimulator.run`
-        directly (and shards by row range under the parallel engine); it is
-        sliced from the request columns without materialising a single
-        :class:`Request`.
+        directly; it is sliced from the request columns without
+        materialising a single :class:`Request`.
         """
         wanted = frozenset(days)
         day = self._plane.requests.day_index(self._epoch)

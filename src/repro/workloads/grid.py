@@ -3,7 +3,7 @@
 An icarus-``config.py``-style experiment description: a plain dict (or
 JSON file) names the scenarios to generate, the models to fit and the
 pruning settings to sweep, and :func:`run_grid` evaluates every cell
-through the existing trace/model/parallel planes, emitting one
+through the existing trace, model and replay layers, emitting one
 comparable results tree::
 
     {"spec": {...},
@@ -18,11 +18,12 @@ Each scenario streams through the columnar bridge to a temporary
 ``.rpt`` and is loaded back as a :class:`~repro.trace.dataset.Trace` —
 the same end-to-end path ``repro generate`` users take — then split at a
 time quantile (``train_fraction``), fitted, and replayed through
-:class:`~repro.parallel.ParallelPrefetchSimulator`.
+:class:`~repro.sim.engine.PrefetchSimulator`.
 
-Grid specs validate against :data:`SPEC_KEYS`; unknown keys fail with
-the registry-wide error convention, so a typo in a spec file reads the
-same as a typo in ``--workload``.
+Grid specs validate against :data:`SPEC_KEYS`, each scenario against
+:data:`SCENARIO_KEYS`; unknown keys fail with the registry-wide error
+convention, so a typo in a spec file reads the same as a typo in
+``--workload``.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
 from repro.core.standard import StandardPPM
 from repro.errors import WorkloadError, unknown_name_message
-from repro.parallel import ParallelPrefetchSimulator
 from repro.sampling.sampler import ClientSampler
 from repro.sim.config import SimulationConfig
+from repro.sim.engine import PrefetchSimulator
 from repro.sim.latency import LatencyModel
 from repro.trace.dataset import Trace, TrainTestSplit
 from repro.workloads.bridge import stream_to_columnar
@@ -60,6 +61,9 @@ SPEC_KEYS = (
     "sample_rate",
     "sample_salt",
 )
+
+#: Keys one entry of ``scenarios`` may carry (``workload`` required).
+SCENARIO_KEYS = ("workload", "label", "params")
 
 #: Keys the optional ``serve`` mapping (the live-serving leg) may carry.
 SERVE_KEYS = ("events", "train_events", "connections")
@@ -134,6 +138,18 @@ def validate_grid_spec(spec: Mapping) -> dict:
         if not isinstance(scenario, Mapping) or "workload" not in scenario:
             raise WorkloadError(
                 f"each scenario needs a 'workload' key: {scenario!r}"
+            )
+        for key in scenario:
+            if key not in SCENARIO_KEYS:
+                raise WorkloadError(
+                    unknown_name_message(
+                        "grid scenario key", str(key), SCENARIO_KEYS
+                    )
+                )
+        if not isinstance(scenario.get("params", {}), Mapping):
+            raise WorkloadError(
+                "grid scenario 'params' must be a mapping, got "
+                f"{type(scenario['params']).__name__}"
             )
         workload_by_name(str(scenario["workload"]))  # fail fast, did-you-mean
         label = str(scenario.get("label", scenario["workload"]))
@@ -261,7 +277,6 @@ def run_grid(
     spec: Mapping | None = None,
     *,
     events: int | None = None,
-    workers: int | None = None,
     out: str | None = None,
     progress=None,
     sample_rate: float | None = None,
@@ -276,8 +291,6 @@ def run_grid(
     events:
         Override of the spec's per-scenario event count (benchmarks and
         CI bound their grids this way).
-    workers:
-        Replay worker processes per simulator run (None → lab default).
     out:
         Path to write the results tree to as JSON.
     progress:
@@ -289,8 +302,6 @@ def run_grid(
         trace, split, model and replay are all sample-sized.  Count
         metrics are additionally reported scaled by ``1/rate``.
     """
-    from repro.experiments.lab import default_workers
-
     spec = validate_grid_spec(spec if spec is not None else DEFAULT_GRID)
     if events is not None:
         if events <= 0:
@@ -305,8 +316,6 @@ def run_grid(
         sampler = ClientSampler(
             float(spec["sample_rate"]), salt=int(spec["sample_salt"] or 0)
         )
-    if workers is None:
-        workers = default_workers()
     say = progress if progress is not None else (lambda line: None)
     seed = int(spec["seed"])
     tree: dict = {
@@ -366,8 +375,8 @@ def run_grid(
                 model = build_model(model_key, popularity, prune)
                 model.fit(split.train_sessions)
                 base = "pb" if model_key.startswith("pb") else model_key
-                config = SimulationConfig.for_model(base, workers=workers)
-                simulator = ParallelPrefetchSimulator(
+                config = SimulationConfig.for_model(base)
+                simulator = PrefetchSimulator(
                     model, url_sizes, latency, config, popularity=popularity
                 )
                 result = simulator.run(test_batch, client_kinds=client_kinds)

@@ -19,9 +19,6 @@ chaos noise (404s, POSTs, shuffled order, latency gaps) — through both
 paths and compares aspect by aspect.  On divergence a greedy-delta
 shrinking loop reduces the record list to a minimal reproducer before
 failing, mirroring the prediction-path harness in ``test_agreement.py``.
-A second group pins the parallel engine: a fault-armed sharded replay of
-a columnar batch merges to the same result as object shards and a serial
-run, through injected worker crashes and hangs.
 """
 
 from __future__ import annotations
@@ -34,8 +31,6 @@ from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
 from repro.core.serialize import dumps_model
 from repro.errors import TraceError
-from repro.parallel import ParallelPrefetchSimulator
-from repro.resilience import FaultPlan, injected
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import PrefetchSimulator
 from repro.sim.latency import LatencyModel
@@ -44,7 +39,6 @@ from repro.trace.dataset import Trace
 from repro.trace.record import LogRecord
 
 from tests.oracle import ReferenceTrace
-from tests.parallel.test_equivalence import assert_results_identical
 
 SEED = 20260808
 PROFILES = ("nasa-like", "ucb-like", "uniform-like")
@@ -248,79 +242,3 @@ class TestShrinker:
         divergence = _first_divergence(minimal, broken_columnar)
         assert divergence is not None
         assert divergence[0] == "popularity"
-
-
-# ---------------------------------------------------------------------------
-# Fault-armed parallel replay: batch shards merge like object shards
-# ---------------------------------------------------------------------------
-
-
-class TestFaultArmedParallelReplay:
-    @pytest.fixture(scope="class")
-    def workload(self):
-        records = _records("nasa-like", SEED)
-        object_trace = _build_trace(records, columnar=False)
-        columnar_trace = _build_trace(records, columnar=True)
-        split = object_trace.split(DAYS - 1)
-        popularity = PopularityTable.from_sessions(split.train_sessions)
-        return {
-            "model": PopularityBasedPPM(popularity).fit(split.train_sessions),
-            "popularity": popularity,
-            "url_sizes": object_trace.url_size_table(),
-            "latency": LatencyModel.fit_requests(split.train_requests),
-            "kinds": object_trace.classify_clients(),
-            "objects": split.test_requests,
-            "batch": columnar_trace.request_batch_for_days(split.test_days),
-        }
-
-    def _run_parallel(self, workload, requests, site, **arm_kwargs):
-        engine = ParallelPrefetchSimulator(
-            workload["model"],
-            workload["url_sizes"],
-            workload["latency"],
-            SimulationConfig.for_model("pb", workers=2),
-            popularity=workload["popularity"],
-        )
-        engine.shard_retries = 2
-        engine.retry_backoff_s = 0.0
-        if site == "parallel.worker_hang":
-            engine.shard_timeout_s = 0.5
-        plan = FaultPlan(seed=3).arm(site, times=1, **arm_kwargs)
-        with injected(plan):
-            result = engine.run(requests, client_kinds=workload["kinds"])
-        assert engine.recovery is not None
-        assert engine.recovery.failures >= 1
-        return result
-
-    def _run_serial(self, workload):
-        simulator = PrefetchSimulator(
-            workload["model"],
-            workload["url_sizes"],
-            workload["latency"],
-            SimulationConfig.for_model("pb"),
-            popularity=workload["popularity"],
-        )
-        return simulator.run(
-            workload["objects"], client_kinds=workload["kinds"]
-        )
-
-    @pytest.mark.parametrize(
-        "site,arm_kwargs",
-        [
-            ("parallel.worker_crash", {}),
-            ("parallel.worker_hang", {"delay_s": 2.0}),
-        ],
-        ids=("crash", "hang"),
-    )
-    def test_batch_and_object_shards_merge_identically(
-        self, workload, site, arm_kwargs
-    ):
-        serial = self._run_serial(workload)
-        from_objects = self._run_parallel(
-            workload, list(workload["objects"]), site, **arm_kwargs
-        )
-        from_batch = self._run_parallel(
-            workload, workload["batch"], site, **arm_kwargs
-        )
-        assert_results_identical(serial, from_objects)
-        assert_results_identical(serial, from_batch)

@@ -3,9 +3,7 @@
 One seeded :func:`repro.resilience.chaos.run_chaos` with every fault
 armed must finish with zero failed requests, every armed site fired, the
 breaker walked back to closed, the report journal fully covered by the
-final snapshot, the SIGKILL crash drill zero-loss, and the
-fault-injected parallel replay bit-identical to the fault-free serial
-run.
+final snapshot, and the SIGKILL crash drill zero-loss.
 """
 
 from __future__ import annotations
@@ -56,17 +54,12 @@ def test_chaos_run_is_green_and_writes_report(tmp_path):
     assert crash["graceful_exit_code"] == 0
     assert crash["post_shutdown_unsnapshotted_reports"] == 0
 
-    parallel = report["parallel"]
-    assert parallel["bit_identical"] is True
-    assert parallel["mismatched_fields"] == []
-    assert parallel["shard_crashes"] >= 1
-    assert parallel["shard_hangs"] >= 1
+    assert set(report) == {"config", "serving", "crash", "ok"}
 
     with open(out, encoding="utf-8") as handle:
         assert json.load(handle)["ok"] is True
 
     text = format_chaos_report(report)
     assert "verdict            OK" in text
-    assert "bit-identical True" in text
     assert "crash drill" in text
     assert "lost 0" in text

@@ -50,15 +50,6 @@ class TestFaultPlan:
         assert draws(7) != draws(8)
         assert any(draws(7)) and not all(draws(7))
 
-    def test_offset_shifts_the_check_index(self):
-        # offset models a retry dispatch: with times=1 the first dispatch
-        # (offset 0) fires and the retry (offset 1) does not, even though
-        # each dispatch is the worker process's first local check.
-        first = pickle.loads(pickle.dumps(FaultPlan(7).arm(SITE)))
-        retry = pickle.loads(pickle.dumps(FaultPlan(7).arm(SITE)))
-        assert first.should_fire(SITE, offset=0) is not None
-        assert retry.should_fire(SITE, offset=1) is None
-
     def test_pickle_roundtrip_preserves_counters(self):
         plan = FaultPlan(seed=7).arm(SITE, times=2)
         plan.should_fire(SITE)

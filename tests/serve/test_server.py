@@ -2,6 +2,7 @@
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -119,6 +120,61 @@ class TestValidation:
             assert fresh.json("GET", "/healthz")[0] == 200
         finally:
             fresh.close()
+
+    @staticmethod
+    def _send_short_body(handle, declared: int) -> tuple[bytes, float]:
+        """Declare ``declared`` body bytes, send 3, read until close."""
+        started = time.perf_counter()
+        with socket.create_connection(
+            (handle.host, handle.port), timeout=5
+        ) as raw:
+            raw.sendall(
+                b"POST /report HTTP/1.1\r\nHost: t\r\n"
+                + f"Content-Length: {declared}\r\n\r\n".encode()
+                + b'{"c'
+            )
+            response = b""
+            while chunk := raw.recv(4096):
+                response += chunk
+        return response, time.perf_counter() - started
+
+    @staticmethod
+    def _assert_healthy(handle) -> None:
+        fresh = ServeClient(handle.host, handle.port)
+        try:
+            assert fresh.json("GET", "/healthz")[0] == 200
+        finally:
+            fresh.close()
+
+    def test_oversized_content_length_is_413_at_once(self, server):
+        before = server.server.errors_total
+        response, _ = self._send_short_body(server, 1_000_000)
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body)
+        assert server.server.errors_total == before + 1
+        self._assert_healthy(server)
+
+    def test_short_body_is_408_after_the_request_deadline(self):
+        handle = ServerThread(
+            PrefetchServer(
+                fitted_model(),
+                housekeeping_interval_s=0.05,
+                request_timeout_s=1.0,
+            )
+        ).start()
+        try:
+            response, elapsed = self._send_short_body(handle, 10)
+            head, _, body = response.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 408 ")
+            assert b"Connection: close" in head
+            assert "error" in json.loads(body)
+            assert 0.5 <= elapsed < 2.5
+            assert handle.server.errors_total == 1
+            self._assert_healthy(handle)
+        finally:
+            handle.stop()
 
 
 class TestIntrospection:

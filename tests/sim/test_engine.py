@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.standard import StandardPPM
 from repro.errors import SimulationError
+from repro.experiments.lab import WorkloadLab
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import PrefetchSimulator
 from repro.sim.latency import LatencyModel
@@ -204,3 +205,62 @@ class TestProxyMode:
         r1 = simulator.run(requests_for("c", ["A"]))
         r2 = simulator.run_proxy(requests_for("c", ["A"]))
         assert r1.requests == r2.requests == 1
+
+
+#: The integer counters of a client-mode run; each is a per-client sum.
+CLIENT_COUNTERS = (
+    "requests",
+    "hits",
+    "browser_hits",
+    "proxy_hits",
+    "prefetch_hits",
+    "popular_prefetch_hits",
+    "shadow_hits",
+    "demand_miss_bytes",
+    "prefetch_bytes",
+    "prefetch_used_bytes",
+    "prefetches_issued",
+    "predictions_made",
+)
+
+
+class TestClientSeparability:
+    """Client-mode replay is separable by client.
+
+    Every client owns its caches and context, and the model is fixed
+    during the test day, so replaying any subset of clients gives those
+    clients exactly the counters they get in a full run.
+    """
+
+    @pytest.fixture(scope="class")
+    def lab(self):
+        return WorkloadLab("nasa-like", total_days=3, seed=7, scale=0.1)
+
+    def _replay(self, lab, model_key, batch):
+        simulator = PrefetchSimulator(
+            lab.model(model_key, 2),
+            lab.url_sizes,
+            lab.latency(2),
+            lab.config_for(model_key),
+            popularity=lab.popularity(2),
+        )
+        return simulator.run(batch, client_kinds=lab.client_kinds)
+
+    @pytest.mark.parametrize("model_key", ["pb", "standard3"])
+    def test_client_halves_sum_to_the_full_run(self, lab, model_key):
+        batch = lab.trace.request_batch_for_days(lab.split(2).test_days)
+        clients = sorted({row[0] for row in batch.iter_rows()})
+        halves = (clients[::2], clients[1::2])
+        assert all(halves)
+
+        full = self._replay(lab, model_key, batch)
+        parts = [
+            self._replay(lab, model_key, batch.select_clients(half))
+            for half in halves
+        ]
+
+        assert full.prefetch_hits > 0
+        for name in CLIENT_COUNTERS:
+            assert sum(getattr(part, name) for part in parts) == getattr(
+                full, name
+            ), name

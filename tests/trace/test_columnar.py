@@ -170,7 +170,6 @@ class TestRequestBatch:
         assert list(batch.iter_rows()) == [
             (r.client, r.url, r.timestamp, r.total_bytes) for r in requests
         ]
-        assert batch.replay_keys() == [request_sort_key(r) for r in requests]
 
     def test_from_requests_equals_column_slicing(self, trace):
         sliced = trace.request_batch_for_days((0, 1))

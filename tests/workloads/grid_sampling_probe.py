@@ -38,7 +38,6 @@ def main(argv: "list[str]") -> int:
     tree = run_grid(
         {"scenarios": [{"workload": "stationary"}], "models": ["pb"]},
         events=events,
-        workers=1,
         sample_rate=rate,
     )
     node = tree["scenarios"]["stationary"]

@@ -65,6 +65,28 @@ class TestSpecValidation:
         with pytest.raises(WorkloadError, match=match):
             validate_grid_spec({"serve": serve})
 
+    def test_unknown_scenario_key_suggests_close_match(self):
+        with pytest.raises(WorkloadError) as excinfo:
+            validate_grid_spec(
+                {"scenarios": [{"workload": "stationary", "parmas": {}}]}
+            )
+        message = str(excinfo.value)
+        assert "parmas" in message
+        assert "did you mean 'params'" in message
+
+    @pytest.mark.parametrize(
+        "scenario, match",
+        [
+            ({"workload": "stationary", "seed": 3}, "'seed'"),
+            ({"workload": "stationary", "params": [1]}, "mapping"),
+            ({"workload": "stationary", "params": None}, "mapping"),
+        ],
+        ids=("seed-key", "params-list", "params-none"),
+    )
+    def test_bad_scenario_is_rejected(self, scenario, match):
+        with pytest.raises(WorkloadError, match=match):
+            validate_grid_spec({"scenarios": [scenario]})
+
     def test_load_spec_from_file(self, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(

@@ -57,7 +57,6 @@ class TestGridSampling:
         return run_grid(
             {"scenarios": [{"workload": "stationary"}], "models": ["pb"]},
             events=6_000,
-            workers=1,
             sample_rate=0.2,
             sample_salt=1,
         )
@@ -94,7 +93,6 @@ class TestGridSampling:
         again = run_grid(
             {"scenarios": [{"workload": "stationary"}], "models": ["pb"]},
             events=6_000,
-            workers=1,
             sample_rate=0.2,
             sample_salt=1,
         )
@@ -107,7 +105,6 @@ class TestGridSampling:
         tree = run_grid(
             {"scenarios": [{"workload": "stationary"}], "models": ["pb"]},
             events=3_000,
-            workers=1,
         )
         assert "sampling" not in tree["scenarios"]["stationary"]
 
