@@ -33,9 +33,11 @@ from repro.core.prediction import (
     predict_from_table_matches,
 )
 from repro.errors import NotFittedError
+from repro.kernel.bulk import SessionCorpus
 from repro.kernel.compact import KEY_SHIFT, CompactTrie
 from repro.kernel.prune import prune_dense
 from repro.kernel.symbols import SymbolTable
+from repro.trace.columnar import session_url_ids
 from repro.trace.sessions import Session
 
 
@@ -76,19 +78,24 @@ class PPMModel(ABC):
     def fit(self, sessions: Iterable[Session]) -> "PPMModel":
         """Build the prediction tree from training sessions.
 
-        Accepts any iterable of sessions; refitting replaces the tree.
-        Returns ``self`` so calls chain.
+        Accepts a session view (:class:`~repro.trace.columnar.SessionView`,
+        read through its columns) or any iterable of :class:`Session`
+        objects; either becomes one :class:`SessionCorpus`, whose symbol
+        table the model keeps.  Refitting replaces the tree.  Returns
+        ``self`` so calls chain.
         """
-        self._symbols = SymbolTable()
+        corpus = SessionCorpus.from_url_ids(*session_url_ids(sessions))
+        self._symbols = corpus.symbols
         self._store = CompactTrie()
         self._mutations += 1
-        self._build(list(sessions))
+        self._build(corpus)
         self._fitted = True
         return self
 
     @abstractmethod
-    def _build(self, sessions: list[Session]) -> None:
-        """Populate ``self._store`` / ``self._symbols`` from the sessions."""
+    def _build(self, corpus: SessionCorpus) -> None:
+        """Populate ``self._store`` (and ``self._symbols``, which holds
+        the corpus symbols on entry) from the training corpus."""
 
     def _require_fitted(self) -> None:
         if not self._fitted:

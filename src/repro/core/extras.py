@@ -20,8 +20,9 @@ from repro import params
 from repro.core.base import PPMModel
 from repro.core.popularity import PopularityTable
 from repro.core.prediction import Prediction, clears_threshold
-from repro.kernel.bulk import build_ngram_trie, dedup_sequences
-from repro.trace.sessions import Session
+from repro.kernel.bulk import SessionCorpus, build_ngram_trie
+from repro.kernel.symbols import SymbolTable
+from repro.trace.columnar import first_seen_counts
 
 
 class FirstOrderMarkov(PPMModel):
@@ -34,11 +35,9 @@ class FirstOrderMarkov(PPMModel):
     name = "markov1"
     supports_incremental = True
 
-    def _build(self, sessions: list[Session]) -> None:
-        sequences, weights = dedup_sequences([s.urls for s in sessions])
-        intern = self._symbols.intern_sequence
+    def _build(self, corpus: SessionCorpus) -> None:
         self._store = build_ngram_trie(
-            [intern(seq) for seq in sequences], max_height=2, weights=weights
+            corpus.sequences, max_height=2, weights=corpus.weights
         )
 
 
@@ -60,13 +59,17 @@ class TopNPush(PPMModel):
         self.n = n
         self._push_set: list[tuple[str, float]] = []
 
-    def _build(self, sessions: list[Session]) -> None:
-        table = PopularityTable.from_sessions(sessions)
+    def _build(self, corpus: SessionCorpus) -> None:
+        table = PopularityTable(
+            first_seen_counts(corpus.ids, corpus.symbols.urls())
+        )
         self._push_set = [
             (url, table.relative_popularity(url)) for url in table.top(self.n)
         ]
         # Store the push set as height-1 branches so node_count, usage
-        # marking and the shared statistics helpers keep working.
+        # marking and the shared statistics helpers keep working; the
+        # symbol table holds the push set alone.
+        self._symbols = SymbolTable()
         for url, _ in self._push_set:
             self.insert_path((url,), weight=table.count(url))
 

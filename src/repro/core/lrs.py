@@ -20,31 +20,22 @@ root-to-leaf paths are the LRS patterns.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro import params
 from repro.core.base import PPMModel
-from repro.kernel.bulk import build_ngram_trie, dedup_sequences
+from repro.kernel.bulk import SessionCorpus, build_ngram_trie
 from repro.kernel.compact import CompactTrie
-from repro.kernel.symbols import SymbolTable
-from repro.trace.sessions import Session
+from repro.kernel.symbols import intern_paths
 
 
 def _frequent_subsequence_store(
-    symbols: SymbolTable,
-    sequences: Sequence[Sequence[str]],
-    *,
-    min_repeats: int,
-    max_length: int | None,
+    corpus: SessionCorpus, *, min_repeats: int, max_length: int | None
 ) -> CompactTrie:
     """The trie of subsequences occurring at least ``min_repeats`` times."""
-    unique, weights = dedup_sequences([tuple(seq) for seq in sequences])
-    intern = symbols.intern_sequence
     return build_ngram_trie(
-        [intern(seq) for seq in unique],
+        corpus.sequences,
         max_height=max_length,
         min_count=min_repeats,
-        weights=weights,
+        weights=corpus.weights,
     )
 
 
@@ -60,11 +51,11 @@ def mine_longest_repeating_subsequences(
     and no single-URL extension of it still repeats — i.e. it is a
     root-to-leaf path of the frequent-subsequence trie.
     """
-    symbols = SymbolTable()
+    corpus = SessionCorpus.from_url_ids(*intern_paths(sequences))
     store = _frequent_subsequence_store(
-        symbols, sequences, min_repeats=min_repeats, max_length=max_length
+        corpus, min_repeats=min_repeats, max_length=max_length
     )
-    return store.leaf_paths(symbols)
+    return store.leaf_paths(corpus.symbols)
 
 
 class LRSPPM(PPMModel):
@@ -94,12 +85,9 @@ class LRSPPM(PPMModel):
         self.min_repeats = min_repeats
         self.max_length = max_length
 
-    def _build(self, sessions: list[Session]) -> None:
+    def _build(self, corpus: SessionCorpus) -> None:
         self._store = _frequent_subsequence_store(
-            self._symbols,
-            [session.urls for session in sessions],
-            min_repeats=self.min_repeats,
-            max_length=self.max_length,
+            corpus, min_repeats=self.min_repeats, max_length=self.max_length
         )
 
     def patterns(self) -> list[tuple[str, ...]]:

@@ -19,7 +19,7 @@ regimes a production prefetching server needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable, Sequence
+from typing import Callable, Deque, Iterable
 
 from repro.core.base import PPMModel
 from repro.core.lrs import LRSPPM
@@ -137,7 +137,7 @@ class RollingModelManager:
         self._advances_since_refit = 0
         self.refit_count += 1
 
-    def advance_day(self, sessions: Sequence[Session]) -> PPMModel:
+    def advance_day(self, sessions: Iterable[Session]) -> PPMModel:
         """Fold one finished day in and return the maintained model.
 
         The first day, a full window rollover, or hitting the refit
@@ -153,12 +153,14 @@ class RollingModelManager:
         """
         window_was_full = len(self._window) == self.window_days
         dropped = self._window[0] if window_was_full else ()
+        # One tuple serves the window and the fold, so a session view is
+        # built into objects once.
+        sessions = tuple(sessions)
+        self._window.append(sessions)
         if not sessions:
-            self._window.append(())
             if self._model is not None and not dropped:
                 return self._model
         else:
-            self._window.append(tuple(sessions))
             self._advances_since_refit += 1
 
         needs_refit = (

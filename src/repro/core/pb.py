@@ -41,7 +41,7 @@ from repro.core.prediction import (
     clears_threshold,
     compact_suffix_matches,
 )
-from repro.kernel.bulk import build_branch_trie, dedup_sequences, symbol_grades
+from repro.kernel.bulk import SessionCorpus, build_branch_trie, symbol_grades
 from repro.kernel.prune import prune_dense
 from repro.trace.sessions import Session
 
@@ -169,21 +169,18 @@ class PopularityBasedPPM(PPMModel):
                 if position == 0 or grades[position] > grades[position - 1]:
                     self._insert_branch(ids, position, grades)
 
-    def _build(self, sessions: list[Session]) -> None:
+    def _build(self, corpus: SessionCorpus) -> None:
         # Bulk-build rules 1-4 over deduplicated sessions; duplicate
         # sessions repeat no branch and create no new special link, so
         # first-seen order plus weights reproduces the per-click build,
         # link-creation order included.
-        sequences, weights = dedup_sequences([s.urls for s in sessions])
-        intern = self._symbols.intern_sequence
-        ids = [intern(seq) for seq in sequences]
         self._store = build_branch_trie(
-            ids,
+            corpus.sequences,
             grades=symbol_grades(self._symbols, self.popularity.grade),
             grade_heights=self.grade_heights,
             absolute_max_height=self.absolute_max_height,
             max_grade=self.popularity.max_grade,
-            weights=weights,
+            weights=corpus.weights,
         )
         # Space optimisations, fused and vectorised (the fresh bulk store
         # is dense, which is all prune_dense asks for).

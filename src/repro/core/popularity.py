@@ -24,6 +24,11 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro import params
+from repro.trace.columnar import (
+    first_seen_counts,
+    request_url_ids,
+    session_url_ids,
+)
 from repro.trace.record import Request
 from repro.trace.sessions import Session
 
@@ -86,20 +91,24 @@ class PopularityTable:
 
     @classmethod
     def from_requests(cls, requests: Iterable[Request], **kwargs) -> "PopularityTable":
-        """Build a table by counting page-view accesses."""
-        counts: dict[str, int] = {}
-        for request in requests:
-            counts[request.url] = counts.get(request.url, 0) + 1
-        return cls(counts, **kwargs)
+        """Build a table by counting page-view accesses.
+
+        Counts come from the views' URL ids (see
+        :func:`~repro.trace.columnar.request_url_ids`), in first-seen
+        order.
+        """
+        return cls(first_seen_counts(*request_url_ids(requests)), **kwargs)
 
     @classmethod
     def from_sessions(cls, sessions: Iterable[Session], **kwargs) -> "PopularityTable":
-        """Build a table by counting accesses across session URL sequences."""
-        counts: dict[str, int] = {}
-        for session in sessions:
-            for url in session.urls:
-                counts[url] = counts.get(url, 0) + 1
-        return cls(counts, **kwargs)
+        """Build a table by counting accesses across session URL sequences.
+
+        Counts come from the sessions' URL ids (see
+        :func:`~repro.trace.columnar.session_url_ids`), in first-seen
+        order.
+        """
+        ids, _lengths, table = session_url_ids(sessions)
+        return cls(first_seen_counts(ids, table), **kwargs)
 
     # -- queries ---------------------------------------------------------------
 

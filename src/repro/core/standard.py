@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro import params
 from repro.core.base import PPMModel
-from repro.kernel.bulk import build_ngram_trie, dedup_sequences
+from repro.kernel.bulk import SessionCorpus, build_ngram_trie
 from repro.trace.sessions import Session
 
 
@@ -43,16 +43,12 @@ class StandardPPM(PPMModel):
             raise ValueError(f"max_height must be >= 1, got {max_height}")
         self.max_height = max_height
 
-    def _build(self, sessions: list[Session]) -> None:
+    def _build(self, corpus: SessionCorpus) -> None:
         # The standard tree is exactly the n-gram count trie of the corpus
         # (one window per start position, capped at max_height) — built in
         # bulk by the vectorised kernel over deduplicated sessions.
-        sequences, weights = dedup_sequences([s.urls for s in sessions])
-        intern = self._symbols.intern_sequence
         self._store = build_ngram_trie(
-            [intern(seq) for seq in sequences],
-            max_height=self.max_height,
-            weights=weights,
+            corpus.sequences, max_height=self.max_height, weights=corpus.weights
         )
 
     def fold_sessions(self, sessions: list[Session]) -> None:

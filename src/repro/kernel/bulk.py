@@ -26,11 +26,13 @@ and the per-node arrays of :class:`CompactTrie` are filled in bulk via
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 from typing import Hashable, Sequence
 
 import numpy as np
 
 from repro.kernel.compact import KEY_SHIFT, CompactTrie
+from repro.kernel.symbols import SymbolTable
 
 _SYM_MASK = (1 << KEY_SHIFT) - 1
 #: Packed keys leave 63 - KEY_SHIFT bits for the parent node index.
@@ -52,6 +54,51 @@ def dedup_sequences(
         return list(counter), None
     weights = np.fromiter(counter.values(), dtype=np.int64, count=len(counter))
     return list(counter), weights
+
+
+@dataclass(frozen=True)
+class SessionCorpus:
+    """Training sessions in the one form every model build reads.
+
+    ``ids`` is the symbol id of every click, session after session, and
+    ``lengths`` the clicks per session.  Symbols are numbered in
+    first-seen order over those clicks, the order that interning each
+    session's URLs in turn gives.  ``sequences`` are the distinct id
+    sequences (int64 arrays) in first-seen order with their ``weights``,
+    as :func:`dedup_sequences` returns them.
+    """
+
+    symbols: SymbolTable
+    ids: np.ndarray
+    lengths: np.ndarray
+    sequences: list
+    weights: "np.ndarray | None"
+
+    @classmethod
+    def from_url_ids(
+        cls, url_ids: np.ndarray, lengths: np.ndarray, url_table: Sequence[str]
+    ) -> "SessionCorpus":
+        """Renumber URL ids (indices into ``url_table``, session after
+        session) to first-seen symbols and deduplicate the sessions."""
+        seen, first = np.unique(url_ids, return_index=True)
+        seen = seen[np.argsort(first)]
+        remap = np.zeros(len(url_table), dtype=np.int64)
+        remap[seen] = np.arange(len(seen), dtype=np.int64)
+        ids = remap[url_ids]
+        # Sessions deduplicate on their id bytes: no Python int per click.
+        raw = ids.tobytes()
+        ends = (np.cumsum(lengths) * ids.itemsize).tolist()
+        unique, weights = dedup_sequences(
+            [raw[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        )
+        sequences = [np.frombuffer(key, dtype=np.int64) for key in unique]
+        return cls(
+            symbols=SymbolTable(url_table[i] for i in seen.tolist()),
+            ids=ids,
+            lengths=lengths,
+            sequences=sequences,
+            weights=weights,
+        )
 
 
 def symbol_grades(symbols, grade_of) -> np.ndarray:

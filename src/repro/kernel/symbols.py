@@ -83,6 +83,27 @@ class SymbolTable:
         return f"SymbolTable({len(self._urls)} urls)"
 
 
+def intern_paths(
+    paths: Iterable[Sequence[str]],
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """URL paths as ``(ids, lengths, table)``: every URL's id, path after
+    path, in one flat array; the length of each path; and the URLs in
+    first-seen id order."""
+    symbols = SymbolTable()
+    intern = symbols.intern_sequence
+    ids: list[int] = []
+    lengths: list[int] = []
+    for path in paths:
+        interned = intern(path)
+        ids.extend(interned)
+        lengths.append(len(interned))
+    return (
+        np.asarray(ids, dtype=np.int64),
+        np.asarray(lengths, dtype=np.int64),
+        symbols.urls(),
+    )
+
+
 def string_ranks(table: Sequence[str]) -> np.ndarray:
     """Lexicographic rank of each table entry, by Python string order.
 

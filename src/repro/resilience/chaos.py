@@ -28,7 +28,24 @@ snapshot that covers the whole journal.
 The report (written to ``benchmarks/results/BENCH_chaos.json`` by the CI
 smoke job) records the per-site fire counts, the recovery counters of
 every subsystem, and the per-phase verdicts folded into one ``ok``.
-Everything is deterministic in the seed except wall-clock durations.
+
+Not all of it is fixed by the seed.  The seed fixes ``config``, the
+traffic (``serving.events_per_burst``) and the fault schedule, so every
+fire count (``fault_fires``, ``armed_never_fired``); every verdict
+(``failed_requests``, the lost and unsnapshotted counts, ``zero_loss``,
+``ok``) must hold on any run.  The recovery counters that follow from
+the schedule (``serving.server``, ``serving.wal``, ``requests_total``,
+``retried_503``, ``reconnects``, ``injected_client_faults``,
+``admin_statuses``) were equal in every pair of runs compared.  Timing
+moves the rest: wall-clock fields (``uptime_s``); what
+the server has folded or expired when it is read
+(``healthz_final.active_clients`` and ``model_nodes``) or when each
+prediction is made (``prediction_urls_returned``,
+``non_empty_prediction_responses``); and in the crash phase how far the
+pump got when the SIGKILL landed: the error it raised
+(``pump_disconnect``: ``ConnectionResetError``, ``RemoteDisconnected``
+or ``BrokenPipeError``) and the acked, journalled and replayed counts,
+which reports in flight can carry past ``kill_after_acks``.
 """
 
 from __future__ import annotations

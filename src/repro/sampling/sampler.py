@@ -9,9 +9,17 @@ rate *r* is a strict subset of the set at any *r' > r* for the same
 salt (no re-draw between rates).
 
 Sampling whole clients keeps whole sessions — a PPM model trained on
-sessions sees no truncated access pattern, only fewer clients — so
-per-client metrics are unbiased and count-type metrics (trie nodes,
-requests) scale back by ``1/rate``.
+sessions sees no truncated access pattern, only fewer clients — and
+count-type metrics (trie nodes, requests) scale back by ``1/rate``.
+Per-client metrics are *not* unbiased: the model, the popularity grades
+and the latency fit are built from the sampled clients alone, so every
+kept client is replayed against a model trained on less traffic than
+the full trace gives it.  The fidelity report
+(``benchmarks/results/BENCH_sampling.json``) measures the bias: the
+hit-ratio mean error is -2.19 points at r=10% and -4.10 points at r=5%,
+and the rate picker needs r=50% to stay within a 1-point budget.
+ROADMAP's exact-sampled-evaluation item (fit on the full window, replay
+only the sampled clients) would remove it in client mode.
 
 The hash is BLAKE2b with an 8-byte digest and the salt folded into the
 keyed-hash salt parameter.  Python's builtin ``hash`` is *per-process*

@@ -34,17 +34,13 @@ from repro.sim.metrics import SimulationResult
 from repro.trace.columnar import RequestBatch
 from repro.trace.record import Request
 
-#: What the engine accepts as a replay workload: materialised request
-#: objects, or the columnar :class:`~repro.trace.columnar.RequestBatch`.
-RequestStream = "Sequence[Request] | RequestBatch"
-
 
 def request_sort_key(request: Request) -> tuple[float, str]:
     """The engine's deterministic replay order: (timestamp, client).
 
-    Python's sort is stable, so requests with equal keys keep their input
-    order; :class:`~repro.trace.columnar.RequestBatch` rows are pre-sorted
-    by the same key.
+    Requests with equal keys keep their input order: the order of a
+    stable ``sorted(requests, key=request_sort_key)``, which
+    :meth:`~repro.trace.columnar.RequestBatch.from_requests` reproduces.
     """
     return (request.timestamp, request.client)
 
@@ -54,18 +50,14 @@ def replay_rows(
 ) -> Iterator[tuple[str, str, float, int]]:
     """Yield ``(client, url, timestamp, total_bytes)`` in replay order.
 
-    The single iteration point of both replay loops: a
-    :class:`RequestBatch` streams its pre-sorted columns directly (no
-    object materialisation, no sort), while request sequences are
-    stable-sorted by :func:`request_sort_key` exactly as before.  Either
-    source yields the identical row sequence for the same workload.
+    The single iteration point of both replay loops.  Every input replays
+    off a :class:`RequestBatch`: a batch as it is, and any page views
+    through :meth:`RequestBatch.from_requests` (a request view slices its
+    columns; objects are sorted by :func:`request_sort_key`).
     """
-    if isinstance(requests, RequestBatch):
-        return requests.iter_rows()
-    return (
-        (r.client, r.url, r.timestamp, r.total_bytes)
-        for r in sorted(requests, key=request_sort_key)
-    )
+    if not isinstance(requests, RequestBatch):
+        requests = RequestBatch.from_requests(requests)
+    return requests.iter_rows()
 
 
 @dataclass
@@ -272,10 +264,10 @@ class PrefetchSimulator:
         Parameters
         ----------
         requests:
-            Test-day page views in timestamp order (the engine re-sorts
-            defensively), or a columnar
-            :class:`~repro.trace.columnar.RequestBatch` which replays
-            straight off its pre-sorted columns.
+            Test-day page views: a request view or a columnar
+            :class:`~repro.trace.columnar.RequestBatch`, which replay
+            straight off their columns, or request objects, which the
+            engine sorts into replay order first.
         client_kinds:
             Optional ``client -> "browser" | "proxy"`` map from
             :meth:`repro.trace.dataset.Trace.classify_clients`; clients
@@ -366,7 +358,8 @@ class PrefetchSimulator:
         Parameters
         ----------
         requests:
-            Test-day page views (objects or a columnar batch); when
+            Test-day page views (a request view, a columnar batch or
+            request objects, as for :meth:`run`); when
             ``clients`` is given only requests from those clients are
             replayed (the paper randomly selects 1 to 32 clients per
             proxy).

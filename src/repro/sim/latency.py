@@ -22,6 +22,7 @@ import numpy as np
 
 from repro import params
 from repro.errors import SimulationError
+from repro.trace.columnar import RequestView
 from repro.trace.record import Request
 
 
@@ -85,18 +86,25 @@ class LatencyModel:
     def fit_requests(cls, requests: Iterable[Request]) -> "LatencyModel":
         """Fit from page views that carry observed latencies.
 
-        Falls back to the documented default coefficients when the trace
-        has no latency column (the public NASA/UCB logs do not).
+        Reads a request view's total-bytes and latency columns (NaN:
+        none), in row order; other :class:`Request` iterables are turned
+        into the same two columns first.  Falls back to the documented
+        default coefficients when the trace has no latency column (the
+        public NASA/UCB logs do not).
         """
-        sizes: list[float] = []
-        latencies: list[float] = []
-        for request in requests:
-            if request.latency is not None:
-                sizes.append(float(request.total_bytes))
-                latencies.append(float(request.latency))
-        if len(sizes) < 2:
+        if isinstance(requests, RequestView):
+            sizes = requests.column("total_bytes").astype(np.float64)
+            latencies = requests.column("latencies")
+        else:
+            pairs = [
+                (r.total_bytes, np.nan if r.latency is None else r.latency)
+                for r in requests
+            ]
+            sizes, latencies = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+        observed = ~np.isnan(latencies)
+        if np.count_nonzero(observed) < 2:
             return cls.default()
-        return cls.fit(sizes, latencies)
+        return cls.fit(sizes[observed], latencies[observed])
 
     @classmethod
     def default(cls) -> "LatencyModel":

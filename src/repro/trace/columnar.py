@@ -54,13 +54,14 @@ import math
 import mmap as _mmap
 import struct
 from array import array
+from collections import abc
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro import params
 from repro.errors import ModelError
-from repro.kernel.symbols import SymbolTable, string_ranks
+from repro.kernel.symbols import SymbolTable, intern_paths, string_ranks
 from repro.trace.filetypes import UrlKind, classify_url
 from repro.trace.record import EmbeddedObject, LogRecord, Request
 from repro.trace.sessions import Session
@@ -810,23 +811,24 @@ class RequestColumns:
             np.int64
         )
 
-    def materialize(self) -> list[Request]:
-        """Bit-identical :class:`Request` objects, in row order."""
+    def build(self, rows: np.ndarray) -> list[Request]:
+        """Bit-identical :class:`Request` objects for ``rows``, in one pass."""
         clients, urls = self.client_table, self.url_table
-        offsets = self.emb_offsets.tolist()
-        emb_urls = self.emb_urls.tolist()
-        emb_sizes = self.emb_sizes.tolist()
+        emb_starts = self.emb_offsets[rows]
+        emb_counts = self.emb_offsets[rows + 1] - emb_starts
+        emb = _span_positions(emb_starts, emb_counts)
+        emb_urls = self.emb_urls[emb].tolist()
+        emb_sizes = self.emb_sizes[emb].tolist()
         out: list[Request] = []
-        for i, (ts, cid, uid, size, latency) in enumerate(
-            zip(
-                self.timestamps.tolist(),
-                self.clients.tolist(),
-                self.urls.tolist(),
-                self.sizes.tolist(),
-                self.latencies.tolist(),
-            )
+        pos = 0
+        for ts, cid, uid, size, latency, count in zip(
+            self.timestamps[rows].tolist(),
+            self.clients[rows].tolist(),
+            self.urls[rows].tolist(),
+            self.sizes[rows].tolist(),
+            self.latencies[rows].tolist(),
+            emb_counts.tolist(),
         ):
-            lo, hi = offsets[i], offsets[i + 1]
             out.append(
                 Request(
                     client=clients[cid],
@@ -835,12 +837,22 @@ class RequestColumns:
                     size=size,
                     embedded=tuple(
                         EmbeddedObject(url=urls[emb_urls[j]], size=emb_sizes[j])
-                        for j in range(lo, hi)
+                        for j in range(pos, pos + count)
                     ),
                     latency=None if math.isnan(latency) else latency,
                 )
             )
+            pos += count
         return out
+
+
+def _span_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``starts[k]:starts[k] + lengths[k]``, concatenated."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+        np.asarray(starts, dtype=np.int64) - offsets, lengths
+    )
 
 
 def fold_request_columns(
@@ -969,13 +981,34 @@ class SessionLayout:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def url_id_sequences(self, requests: RequestColumns) -> list[np.ndarray]:
-        """Per-session URL id arrays (model-build input, no objects)."""
-        grouped_urls = requests.urls[self.grouped]
-        return [
-            grouped_urls[start:end]
-            for start, end in zip(self.starts.tolist(), self.ends.tolist())
-        ]
+    def request_rows(self, sessions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Request rows of ``sessions``, session after session, and the
+        number of clicks in each."""
+        starts = self.starts[sessions]
+        lengths = self.ends[sessions] - starts
+        return self.grouped[_span_positions(starts, lengths)], lengths
+
+    def build(
+        self, requests: RequestColumns, sessions: np.ndarray
+    ) -> list[Session]:
+        """Bit-identical :class:`Session` objects for ``sessions``, in one
+        pass over their request rows."""
+        rows, lengths = self.request_rows(sessions)
+        built = requests.build(rows)
+        client_table = requests.client_table
+        out: list[Session] = []
+        pos = 0
+        for cid, length in zip(
+            self.client_ids[sessions].tolist(), lengths.tolist()
+        ):
+            out.append(
+                Session(
+                    client=client_table[cid],
+                    requests=tuple(built[pos : pos + length]),
+                )
+            )
+            pos += length
+        return out
 
 
 def session_layout(
@@ -1014,30 +1047,137 @@ def session_layout(
     )
 
 
-def materialize_sessions(
-    layout: SessionLayout,
-    requests: Sequence[Request],
-    client_table: Sequence[str],
-) -> list[Session]:
-    """Bit-identical :class:`Session` objects over materialised requests.
+class _ColumnView(abc.Sequence):
+    """The read-only sequence protocol the column-backed views share.
 
-    ``requests`` must be the materialised rows of the same
-    :class:`RequestColumns` the layout was computed from, so sessions share
-    request object identity with ``trace.requests`` exactly like the
-    object pipeline does.
+    ``len`` is free; ``view[i]`` (negative ``i`` too) builds one frozen
+    object; a slice is a view; iterating builds every object in one pass;
+    and a view equals a tuple, or another view, of the same objects.
+    Subclasses say how ``indices`` turn into objects and into a new view.
     """
-    grouped = layout.grouped.tolist()
-    out: list[Session] = []
-    for start, end, cid in zip(
-        layout.starts.tolist(), layout.ends.tolist(), layout.client_ids.tolist()
-    ):
-        out.append(
-            Session(
-                client=client_table[cid],
-                requests=tuple(requests[grouped[i]] for i in range(start, end)),
-            )
+
+    __slots__ = ("indices",)
+
+    def _build(self, indices: np.ndarray) -> list:
+        raise NotImplementedError
+
+    def _view(self, indices: np.ndarray) -> "_ColumnView":
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._view(self.indices[index])
+        return self._build(self.indices[[index]])[0]
+
+    def __iter__(self) -> Iterator:
+        return iter(self._build(self.indices))
+
+    def where(self, mask: np.ndarray) -> "_ColumnView":
+        """The items where ``mask`` (one bool per item) is True, as a view."""
+        return self._view(self.indices[mask])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, _ColumnView)):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+
+class RequestView(_ColumnView):
+    """Page views as (:class:`RequestColumns`, row indices).
+
+    Every view a :class:`~repro.trace.dataset.Trace` hands out keeps its
+    rows ascending, so in the columns' ``(timestamp, client, url)`` order,
+    which restricted to any subset is already replay order.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: RequestColumns, rows: np.ndarray) -> None:
+        self.columns = columns
+        self.indices = rows
+
+    def column(self, name: str) -> np.ndarray:
+        """One :class:`RequestColumns` column over the view's rows."""
+        return getattr(self.columns, name)[self.indices]
+
+    def _build(self, indices: np.ndarray) -> list[Request]:
+        return self.columns.build(indices)
+
+    def _view(self, indices: np.ndarray) -> "RequestView":
+        return RequestView(self.columns, indices)
+
+
+class SessionView(_ColumnView):
+    """Sessions as (:class:`SessionLayout`, :class:`RequestColumns`,
+    session indices), in the layout's session order."""
+
+    __slots__ = ("layout", "columns")
+
+    def __init__(
+        self, layout: SessionLayout, columns: RequestColumns, sessions: np.ndarray
+    ) -> None:
+        self.layout = layout
+        self.columns = columns
+        self.indices = sessions
+
+    @property
+    def start_times(self) -> np.ndarray:
+        """Timestamp of each session's first click."""
+        return self.layout.start_times[self.indices]
+
+    def _build(self, indices: np.ndarray) -> list[Session]:
+        return self.layout.build(self.columns, indices)
+
+    def _view(self, indices: np.ndarray) -> "SessionView":
+        return SessionView(self.layout, self.columns, indices)
+
+
+def request_url_ids(
+    requests: Iterable[Request],
+) -> tuple[np.ndarray, Sequence[str]]:
+    """Page views in column form: one URL id per view, and the URL table.
+
+    A :class:`RequestView` hands over its URL column; any other iterable
+    of :class:`Request` objects is interned in first-seen order.
+    """
+    if isinstance(requests, RequestView):
+        return requests.column("urls"), requests.columns.url_table
+    symbols = SymbolTable()
+    ids = np.fromiter((symbols.intern(r.url) for r in requests), dtype=np.int64)
+    return ids, symbols.urls()
+
+
+def session_url_ids(
+    sessions: Iterable[Session],
+) -> tuple[np.ndarray, np.ndarray, Sequence[str]]:
+    """Sessions in column form: the URL id of every click, session after
+    session; the clicks per session; and the URL table the ids index.
+
+    A :class:`SessionView` reads its layout's request rows; any other
+    iterable of :class:`Session` objects is interned in first-seen order.
+    """
+    if isinstance(sessions, SessionView):
+        rows, lengths = sessions.layout.request_rows(sessions.indices)
+        return sessions.columns.urls[rows], lengths, sessions.columns.url_table
+    return intern_paths(session.urls for session in sessions)
+
+
+def first_seen_counts(ids: np.ndarray, table: Sequence[str]) -> dict[str, int]:
+    """``{table[id]: occurrences}`` over ``ids``, in first-seen order."""
+    seen, first, counts = np.unique(ids, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return dict(
+        zip(
+            [table[i] for i in seen[order].tolist()],
+            counts[order].tolist(),
         )
-    return out
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1101,7 +1241,21 @@ class RequestBatch:
 
     @classmethod
     def from_requests(cls, requests: Sequence[Request]) -> "RequestBatch":
-        """Batch from :class:`Request` objects (sorted into replay order)."""
+        """Batch of page views in replay order: the order of a stable
+        sort on :func:`repro.sim.engine.request_sort_key`.
+
+        A :class:`RequestView` is sliced from its columns.  Rows in column
+        order, which every view a :class:`~repro.trace.dataset.Trace`
+        hands out keeps, are already in replay order; any other row order
+        is stable-sorted by (timestamp, client string) first.
+        :class:`Request` objects are interned and sorted the same way.
+        """
+        if isinstance(requests, RequestView):
+            columns, rows = requests.columns, requests.indices
+            if np.any(rows[1:] < rows[:-1]):
+                ranks = columns.client_ranks()[rows]
+                rows = rows[np.lexsort((ranks, columns.timestamps[rows]))]
+            return cls.from_request_columns(columns, rows)
         clients = SymbolTable()
         urls = SymbolTable()
         client_ids = np.fromiter(

@@ -22,9 +22,12 @@ from repro import params
 from repro.errors import TraceError
 from repro.trace.columnar import (
     RequestBatch,
+    RequestView,
+    SessionView,
     TraceColumns,
     TracePlane,
-    materialize_sessions,
+    first_seen_counts,
+    request_url_ids,
 )
 from repro.trace.record import LogRecord, Request
 from repro.trace.sessions import Session
@@ -34,14 +37,20 @@ SECONDS_PER_DAY: float = 86_400.0
 
 @dataclass(frozen=True)
 class TrainTestSplit:
-    """Sessions and page views for a train-on-days/test-on-day experiment."""
+    """Sessions and page views for a train-on-days/test-on-day experiment.
+
+    :class:`Trace` fills the four sequences with column-backed views
+    (:class:`~repro.trace.columnar.SessionView`,
+    :class:`~repro.trace.columnar.RequestView`); tuples of objects work
+    the same.
+    """
 
     train_days: tuple[int, ...]
     test_days: tuple[int, ...]
-    train_sessions: tuple[Session, ...]
-    test_sessions: tuple[Session, ...]
-    train_requests: tuple[Request, ...]
-    test_requests: tuple[Request, ...]
+    train_sessions: Sequence[Session]
+    test_sessions: Sequence[Session]
+    train_requests: Sequence[Request]
+    test_requests: Sequence[Request]
 
     @property
     def train_url_counts(self) -> dict[str, int]:
@@ -50,10 +59,7 @@ class TrainTestSplit:
         This is the historical information the server ranks popularity
         from; test-day accesses are never visible to it.
         """
-        counts: dict[str, int] = {}
-        for request in self.train_requests:
-            counts[request.url] = counts.get(request.url, 0) + 1
-        return counts
+        return first_seen_counts(*request_url_ids(self.train_requests))
 
 
 class Trace:
@@ -100,10 +106,9 @@ class Trace:
             parse_stats = records.parse_stats
         self.parse_stats = parse_stats
         self._materialized: tuple[LogRecord, ...] | None = None
-        self._requests: tuple[Request, ...] | None = None
-        self._sessions: tuple[Session, ...] | None = None
-        self._day_requests: dict[frozenset[int], tuple[Request, ...]] = {}
-        self._day_sessions: dict[frozenset[int], tuple[Session, ...]] = {}
+        #: Views keyed by kind and day set (None: the whole trace), so a
+        #: repeated slice returns the same view.
+        self._views: dict[tuple[str, frozenset[int] | None], Sequence] = {}
         self._splits: dict[tuple[int, int], TrainTestSplit] = {}
         columns = (
             records
@@ -196,24 +201,16 @@ class Trace:
         return self._materialized
 
     @property
-    def requests(self) -> tuple[Request, ...]:
-        """Page views after the embedded-object fold (computed once)."""
-        if self._requests is None:
-            self._requests = tuple(self._plane.requests.materialize())
-        return self._requests
+    def requests(self) -> RequestView:
+        """Page views after the embedded-object fold, as a read-only
+        column-backed sequence; an item is built when read."""
+        return self._request_view(None)
 
     @property
-    def sessions(self) -> tuple[Session, ...]:
-        """All access sessions of the trace (computed once)."""
-        if self._sessions is None:
-            self._sessions = tuple(
-                materialize_sessions(
-                    self._plane.sessions,
-                    self.requests,
-                    self._plane.columns.client_table,
-                )
-            )
-        return self._sessions
+    def sessions(self) -> SessionView:
+        """All access sessions of the trace, as a read-only column-backed
+        sequence; an item is built when read."""
+        return self._session_view(None)
 
     @property
     def epoch(self) -> float:
@@ -243,42 +240,48 @@ class Trace:
 
     # -- day slicing ---------------------------------------------------------
 
-    def requests_for_days(self, days: Iterable[int]) -> tuple[Request, ...]:
+    def requests_for_days(self, days: Iterable[int]) -> RequestView:
         """Page views whose timestamp falls on any of the given days."""
-        wanted = frozenset(days)
-        cached = self._day_requests.get(wanted)
-        if cached is not None:
-            return cached
-        day = self._plane.requests.day_index(self._epoch)
-        rows = np.flatnonzero(
-            np.isin(day, np.fromiter(wanted, dtype=np.int64, count=len(wanted)))
-        )
-        requests = self.requests
-        selected = tuple(requests[i] for i in rows.tolist())
-        self._day_requests[wanted] = selected
-        return selected
+        return self._request_view(frozenset(days))
 
-    def sessions_for_days(self, days: Iterable[int]) -> tuple[Session, ...]:
+    def sessions_for_days(self, days: Iterable[int]) -> SessionView:
         """Sessions *starting* on any of the given days.
 
         A session belongs to the day it begins on, so a session straddling
         midnight is trained on with the day that produced its first click —
         the same convention a server updating its model nightly would use.
         """
-        wanted = frozenset(days)
-        cached = self._day_sessions.get(wanted)
-        if cached is not None:
-            return cached
-        day = np.floor_divide(
-            self._plane.sessions.start_times - self._epoch, SECONDS_PER_DAY
-        ).astype(np.int64)
-        rows = np.flatnonzero(
-            np.isin(day, np.fromiter(wanted, dtype=np.int64, count=len(wanted)))
-        )
-        sessions = self.sessions
-        selected = tuple(sessions[i] for i in rows.tolist())
-        self._day_sessions[wanted] = selected
-        return selected
+        return self._session_view(frozenset(days))
+
+    def _on_days(
+        self, timestamps: np.ndarray, days: frozenset[int] | None
+    ) -> np.ndarray:
+        """Indices of ``timestamps`` that fall on ``days`` (all if None)."""
+        if days is None:
+            return np.arange(len(timestamps), dtype=np.int64)
+        day = np.floor_divide(timestamps - self._epoch, SECONDS_PER_DAY)
+        wanted = np.fromiter(days, dtype=np.int64, count=len(days))
+        return np.flatnonzero(np.isin(day.astype(np.int64), wanted))
+
+    def _request_view(self, days: frozenset[int] | None) -> RequestView:
+        view = self._views.get(("requests", days))
+        if view is None:
+            requests = self._plane.requests
+            view = RequestView(requests, self._on_days(requests.timestamps, days))
+            self._views[("requests", days)] = view
+        return view
+
+    def _session_view(self, days: frozenset[int] | None) -> SessionView:
+        view = self._views.get(("sessions", days))
+        if view is None:
+            layout = self._plane.sessions
+            view = SessionView(
+                layout,
+                self._plane.requests,
+                self._on_days(layout.start_times, days),
+            )
+            self._views[("sessions", days)] = view
+        return view
 
     def split(self, train_days: int, *, test_days: int = 1) -> TrainTestSplit:
         """Train on days ``0..train_days-1``, test on the following days.
@@ -316,12 +319,7 @@ class Trace:
         directly; it is sliced from the request columns without
         materialising a single :class:`Request`.
         """
-        wanted = frozenset(days)
-        day = self._plane.requests.day_index(self._epoch)
-        rows = np.flatnonzero(
-            np.isin(day, np.fromiter(wanted, dtype=np.int64, count=len(wanted)))
-        )
-        return RequestBatch.from_request_columns(self._plane.requests, rows)
+        return RequestBatch.from_requests(self.requests_for_days(days))
 
     def request_batch_after(self, cut: float) -> RequestBatch:
         """Column-backed replay batch of page views after a time cut.
@@ -342,10 +340,7 @@ class Trace:
         """Access count per page URL (over given requests, or all of them)."""
         if requests is None:
             return self._plane.url_access_counts()
-        counts: dict[str, int] = {}
-        for request in requests:
-            counts[request.url] = counts.get(request.url, 0) + 1
-        return counts
+        return first_seen_counts(*request_url_ids(requests))
 
     def url_size_table(self) -> dict[str, int]:
         """Bytes a prefetch of each page URL moves (page + embedded objects).

@@ -179,11 +179,11 @@ def validate_grid_spec(spec: Mapping) -> dict:
 
 def fraction_cut(trace: Trace, train_fraction: float) -> float:
     """The timestamp below which ``train_fraction`` of page views fall."""
-    requests = trace.requests
+    timestamps = trace.requests.column("timestamps")
     cut_index = min(
-        len(requests) - 1, max(0, int(len(requests) * train_fraction))
+        len(timestamps) - 1, max(0, int(len(timestamps) * train_fraction))
     )
-    return requests[cut_index].timestamp
+    return float(timestamps[cut_index])
 
 
 def fraction_split(trace: Trace, train_fraction: float) -> TrainTestSplit:
@@ -194,28 +194,25 @@ def fraction_split(trace: Trace, train_fraction: float) -> TrainTestSplit:
     ``train_fraction`` of the requests fall.  Sessions *starting* at or
     before the cut train the models (a session straddling the cut leaks
     its tail into training — accepted, as real log splits do the same).
+    Each side is a row mask over the trace's views: no page view or
+    session is built.
     """
-    requests = trace.requests
+    requests, sessions = trace.requests, trace.sessions
     cut = fraction_cut(trace, train_fraction)
-    train_requests = tuple(r for r in requests if r.timestamp <= cut)
-    test_requests = tuple(r for r in requests if r.timestamp > cut)
-    if not train_requests or not test_requests:
+    in_train = requests.column("timestamps") <= cut
+    if in_train.all() or not in_train.any():
         raise WorkloadError(
             "degenerate train/test split; increase events or adjust "
             "train_fraction"
         )
-    train_sessions = tuple(
-        s for s in trace.sessions if s.requests[0].timestamp <= cut
-    )
+    starts_in_train = sessions.start_times <= cut
     return TrainTestSplit(
         train_days=(),
         test_days=(),
-        train_sessions=train_sessions,
-        test_sessions=tuple(
-            s for s in trace.sessions if s.requests[0].timestamp > cut
-        ),
-        train_requests=train_requests,
-        test_requests=test_requests,
+        train_sessions=sessions.where(starts_in_train),
+        test_sessions=sessions.where(~starts_in_train),
+        train_requests=requests.where(in_train),
+        test_requests=requests.where(~in_train),
     )
 
 

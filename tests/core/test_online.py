@@ -113,6 +113,18 @@ class TestRollingManager:
         # Counts reflect all three days despite only one refit.
         assert manager.model.roots["A"].count == 3
 
+    def test_incremental_day_reads_its_sessions_once(self):
+        """The window and the incremental fold share one pass over the
+        day, so a one-shot iterator folds every session too."""
+        manager = RollingModelManager(
+            lambda pop: StandardPPM(), window_days=10, refit_every=3
+        )
+        manager.advance_day(iter(make_sessions([("A", "B")])))
+        manager.advance_day(iter(make_sessions([("A", "C")])))
+        assert manager.incremental_count == 1
+        assert manager.model.roots["A"].count == 2
+        assert len(manager.window_sessions) == 2
+
     def test_refit_schedule_triggers(self):
         manager = RollingModelManager(
             lambda pop: StandardPPM(), window_days=10, refit_every=2

@@ -25,7 +25,8 @@ per URL:
   record at a time through the public reference functions
   :func:`~repro.trace.record.sort_records`,
   :func:`~repro.trace.embedding.fold_embedded_objects` and
-  :func:`~repro.trace.sessions.sessionize`.
+  :func:`~repro.trace.sessions.sessionize`, plus :func:`fraction_split`,
+  the workload grid's time-quantile split as tuple filters.
 
 :class:`OracleModel` packages a forest and its predictor behind the slice
 of the model interface the suites call, so ``OracleModel(model,
@@ -48,7 +49,7 @@ from repro.core.popularity import PopularityTable
 from repro.core.prediction import Prediction, clears_threshold
 from repro.core.standard import StandardPPM
 from repro.core.stats import node_count, path_utilization, reset_usage
-from repro.errors import TraceError
+from repro.errors import TraceError, WorkloadError
 from repro.kernel.compact import CompactTrie
 from repro.kernel.predict_table import PredictTable, _as_int64
 from repro.kernel.symbols import SymbolTable
@@ -851,3 +852,35 @@ class ReferenceTrace:
             idle_timeout_seconds=self.idle_timeout_seconds,
             embed_window_seconds=self.embed_window_seconds,
         )
+
+
+def fraction_split(trace: ReferenceTrace, train_fraction: float) -> TrainTestSplit:
+    """The workload grid's time-quantile split, one object at a time.
+
+    The reference for :func:`repro.workloads.grid.fraction_split`, which
+    cuts with row masks over the trace's columns: page views at or before
+    the cut (the timestamp below which ``train_fraction`` of them fall)
+    train, later ones test, and each session follows its first click.
+    """
+    requests = trace.requests
+    cut_index = min(len(requests) - 1, max(0, int(len(requests) * train_fraction)))
+    cut = requests[cut_index].timestamp
+    train_requests = tuple(r for r in requests if r.timestamp <= cut)
+    test_requests = tuple(r for r in requests if r.timestamp > cut)
+    if not train_requests or not test_requests:
+        raise WorkloadError(
+            "degenerate train/test split; increase events or adjust "
+            "train_fraction"
+        )
+    return TrainTestSplit(
+        train_days=(),
+        test_days=(),
+        train_sessions=tuple(
+            s for s in trace.sessions if s.requests[0].timestamp <= cut
+        ),
+        test_sessions=tuple(
+            s for s in trace.sessions if s.requests[0].timestamp > cut
+        ),
+        train_requests=train_requests,
+        test_requests=test_requests,
+    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import builtins
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from repro.trace.columnar import (
     convert_clf_to_columnar,
 )
 from repro.trace.dataset import Trace
-from repro.trace.record import LogRecord
+from repro.trace.record import LogRecord, Request
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,28 @@ class TestRequestBatch:
         assert list(batch.iter_rows()) == [
             (r.client, r.url, r.timestamp, r.total_bytes) for r in requests
         ]
+
+    def test_from_requests_keeps_input_order_within_equal_keys(self):
+        """Equal (timestamp, client) keys replay in input order, as a
+        stable ``sorted`` on ``request_sort_key`` would; client strings
+        order by Python string order (``"B" < "a" < "b"``)."""
+        requests = [
+            Request(client="b", timestamp=1.0, url="/b1", size=10),
+            Request(client="b", timestamp=1.0, url="/b2", size=20),
+            Request(client="b", timestamp=1.0, url="/b3", size=30),
+            Request(client="a", timestamp=1.0, url="/a1", size=40),
+            Request(client="a", timestamp=1.0, url="/a2", size=50),
+            Request(client="B", timestamp=1.0, url="/B1", size=60),
+            Request(client="a", timestamp=0.5, url="/a0", size=70),
+            Request(client="b", timestamp=2.0, url="/b1", size=80),
+        ]
+        for seed in range(8):
+            shuffled = list(requests)
+            random.Random(seed).shuffle(shuffled)
+            assert list(RequestBatch.from_requests(shuffled).iter_rows()) == [
+                (r.client, r.url, r.timestamp, r.total_bytes)
+                for r in sorted(shuffled, key=request_sort_key)
+            ]
 
     def test_from_requests_equals_column_slicing(self, trace):
         sliced = trace.request_batch_for_days((0, 1))
