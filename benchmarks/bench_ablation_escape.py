@@ -23,8 +23,9 @@ def test_ablation_escape(benchmark, report):
     for model in ("standard", "lrs"):
         plain = row(model, False)
         escaped = row(model, True)
-        # Escape can only widen the set of issued predictions.
-        assert escaped["traffic_increment"] >= plain["traffic_increment"] - 0.01
+        # Escape can only widen the set of issued predictions, and on this
+        # workload it does: the escape rows must move.
+        assert escaped["traffic_increment"] > plain["traffic_increment"]
         assert escaped["hit_ratio"] >= plain["hit_ratio"] - 0.005
 
     benchmark.pedantic(

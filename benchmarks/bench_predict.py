@@ -1,9 +1,10 @@
 """Compiled prediction-table speedups: the prediction plane A/B bench.
 
-Times the same work twice — the uncompiled store walk (PB-PPM's
-``_predict_compact``, called directly) versus the compiled table's row
-slices (``predict_cursor`` at the default threshold) — and records the
-ratios in ``benchmarks/results/BENCH_predict.json``:
+Times the same work twice — the per-request store walk (PB-PPM's
+reference walk, ``tests/oracle.py``'s ``predict_pb_store_walk``) versus
+the compiled table's row cuts (``predict_cursor`` at the default
+threshold) — and records the ratios in
+``benchmarks/results/BENCH_predict.json``:
 
 * ``batch_predict`` — the prediction step in isolation: repeated
   predictions over a fleet of cursors parked at the end of every test
@@ -14,7 +15,8 @@ ratios in ``benchmarks/results/BENCH_predict.json``:
   click) over the same sessions.
 * ``compile`` — building the table itself for the lab's standard tree,
   the largest model: the per-row ``sorted`` reference compile of
-  ``tests/oracle.py`` versus the lexsort of ``compile_predict_table``.
+  ``tests/oracle.py`` (at thresholds 0.0, which keep every entry) versus
+  the lexsort of ``compile_predict_table``.
 
 Totals (for ``compile``, every table array) are asserted identical
 between the two arms before any ratio is trusted.  In-test floors are
@@ -67,10 +69,11 @@ def _ab(walk, table):
 
 def _steps(model):
     """(walk, table): one cursor's prediction through each path."""
+    from tests import oracle
 
     def walk(cursor):
-        return model._predict_compact(
-            cursor.matches(), cursor.last_url, THRESHOLD, False
+        return oracle.predict_pb_store_walk(
+            model, cursor.matches(), cursor.last_url, THRESHOLD, False
         )
 
     def table(cursor):
@@ -167,7 +170,9 @@ def test_compile_speedup():
     model = lab.model("standard", 5)
     store, symbols = model._store, model._symbols
     reference_seconds, want = _best_of(
-        lambda: oracle.compile_predict_table(store, symbols)
+        lambda: oracle.compile_predict_table(
+            store, symbols, threshold=0.0, special_threshold=0.0
+        )
     )
     compiled_seconds, got = _best_of(lambda: compile_predict_table(store, symbols))
     oracle.assert_same_tables(got, want)

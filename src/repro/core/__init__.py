@@ -11,8 +11,8 @@
 * :mod:`repro.core.pb` — popularity-based PPM, the paper's contribution
   (Fig. 1 right);
 * :mod:`repro.core.prediction` — longest-match prediction, batch and
-  incremental (:class:`PredictionCursor`), through the compiled table or
-  the uncompiled store walk;
+  incremental (:class:`PredictionCursor`), as a cut of the compiled
+  table's rows at any threshold;
 * :mod:`repro.core.stats` — node counts, path enumeration, utilisation;
 * :mod:`repro.core.extras` — related-work predictors used in ablations.
 """

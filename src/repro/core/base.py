@@ -27,9 +27,6 @@ from repro.core.prediction import (
     Prediction,
     PredictionCursor,
     compact_suffix_matches,
-    predict_from_compact_context,
-    predict_from_compact_matches,
-    predict_from_table_context,
     predict_from_table_matches,
 )
 from repro.errors import NotFittedError
@@ -51,13 +48,6 @@ class PPMModel(ABC):
 
     #: Human-readable model name used in reports ("standard", "lrs", "pb").
     name: str = "ppm"
-
-    #: Whether :meth:`predict_cursor` may use the incremental suffix-match
-    #: fast path.  Only safe when the model's :meth:`predict` is the
-    #: generic longest-match (or the model overrides ``predict_cursor``
-    #: itself, as PB-PPM does); models with bespoke batch predictions keep
-    #: False and fall back to ``predict(cursor.context)``.
-    supports_incremental: bool = False
 
     def __init__(self) -> None:
         self._store = CompactTrie()
@@ -123,22 +113,14 @@ class PPMModel(ABC):
     def _compiled_table(self):
         """The compiled prediction table for the current store generation.
 
-        None only while the store has garbage slots (see
-        :func:`~repro.kernel.predict_table.compile_predict_table`).  The
-        result — including None — is cached against the mutation counter,
-        so a model compiles at most once per structural generation.
+        Threshold-free, so one table answers every prediction; cached
+        against the mutation counter, so a model compiles at most once
+        per structural generation.
         """
         if self._table_mutations != self._mutations:
             from repro.kernel.predict_table import compile_predict_table
 
-            self._table = compile_predict_table(
-                self._store,
-                self._symbols,
-                threshold=params.PREDICTION_PROBABILITY_THRESHOLD,
-                special_threshold=getattr(
-                    self, "special_link_threshold", params.SPECIAL_LINK_THRESHOLD
-                ),
-            )
+            self._table = compile_predict_table(self._store, self._symbols)
             self._table_mutations = self._mutations
         return self._table
 
@@ -152,27 +134,21 @@ class PPMModel(ABC):
     ) -> list[Prediction]:
         """Predict the next accesses given the session's URLs so far.
 
-        Answers through the compiled table when it covers ``threshold``
-        and through the uncompiled store walk otherwise.  ``escape``
-        enables compression-style PPM fallback to shorter contexts (an
-        ablation; the paper's models leave it off) — see
-        :func:`repro.core.prediction.predict_from_compact_matches`.
+        Matches every suffix of ``context`` against the store, then runs
+        the one table step,
+        :func:`~repro.core.prediction.predict_from_table_matches`, at any
+        ``threshold``.  ``escape`` enables compression-style PPM fallback
+        to shorter contexts (an ablation; the paper's models leave it
+        off).
         """
         self._require_fitted()
-        table = self._compiled_table()
-        if table is not None and table.covers(threshold):
-            return predict_from_table_context(
-                self._store,
-                table,
-                self._symbols,
-                context,
-                mark_used=mark_used,
-                escape=escape,
-            )
-        return predict_from_compact_context(
+        if not context:
+            return []
+        return predict_from_table_matches(
             self._store,
+            self._compiled_table(),
             self._symbols,
-            context,
+            compact_suffix_matches(self._store, self._symbols, context),
             threshold=threshold,
             mark_used=mark_used,
             escape=escape,
@@ -223,37 +199,18 @@ class PPMModel(ABC):
     ) -> list[Prediction]:
         """Predict from a cursor's maintained suffix matches.
 
-        Equivalent to ``predict(cursor.context)`` — same predictions, same
-        usage marking — but O(active matches) per click instead of
-        rematching the full context.  Models without an incremental path
-        (``supports_incremental`` False) transparently run the batch
-        prediction on the cursor's context.
+        Equivalent to ``predict(cursor.context)`` — the same table step,
+        same predictions, same usage marking — but O(active matches) per
+        click instead of rematching the full context.
         """
         self._require_fitted()
         if cursor.model is not self:
             raise ValueError("cursor belongs to a different model")
-        if not self.supports_incremental:
-            return self.predict(
-                cursor.context,
-                threshold=threshold,
-                mark_used=mark_used,
-                escape=escape,
-            )
-        matches = cursor.matches()
-        table = self._compiled_table()
-        if table is not None and table.covers(threshold):
-            return predict_from_table_matches(
-                self._store,
-                table,
-                self._symbols,
-                matches,
-                mark_used=mark_used,
-                escape=escape,
-            )
-        return predict_from_compact_matches(
+        return predict_from_table_matches(
             self._store,
+            self._compiled_table(),
             self._symbols,
-            matches,
+            cursor.matches(),
             threshold=threshold,
             mark_used=mark_used,
             escape=escape,

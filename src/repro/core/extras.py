@@ -19,7 +19,7 @@ from typing import Sequence
 from repro import params
 from repro.core.base import PPMModel
 from repro.core.popularity import PopularityTable
-from repro.core.prediction import Prediction, clears_threshold
+from repro.core.prediction import Prediction, PredictionCursor, clears_threshold
 from repro.kernel.bulk import SessionCorpus, build_ngram_trie
 from repro.kernel.symbols import SymbolTable
 from repro.trace.columnar import first_seen_counts
@@ -33,7 +33,6 @@ class FirstOrderMarkov(PPMModel):
     """
 
     name = "markov1"
-    supports_incremental = True
 
     def _build(self, corpus: SessionCorpus) -> None:
         self._store = build_ngram_trie(
@@ -92,3 +91,22 @@ class TopNPush(PPMModel):
             self.mark_used_paths([(prediction.url,) for prediction in predictions])
         predictions.sort(key=lambda p: (-p.probability, p.url))
         return predictions
+
+    def predict_cursor(
+        self,
+        cursor: PredictionCursor,
+        *,
+        threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
+        mark_used: bool = True,
+        escape: bool = False,
+    ) -> list[Prediction]:
+        """:meth:`predict` on the cursor's last click, all the push needs."""
+        self._require_fitted()
+        if cursor.model is not self:
+            raise ValueError("cursor belongs to a different model")
+        last_url = cursor.last_url
+        return self.predict(
+            () if last_url is None else (last_url,),
+            threshold=threshold,
+            mark_used=mark_used,
+        )

@@ -71,7 +71,6 @@ class LRSPPM(PPMModel):
     """
 
     name = "lrs"
-    supports_incremental = True
 
     def __init__(
         self,

@@ -38,7 +38,6 @@ from repro.core.popularity import PopularityTable
 from repro.core.prediction import (
     Prediction,
     PredictionCursor,
-    clears_threshold,
     compact_suffix_matches,
 )
 from repro.kernel.bulk import SessionCorpus, build_branch_trie, symbol_grades
@@ -77,7 +76,6 @@ class PopularityBasedPPM(PPMModel):
     """
 
     name = "pb"
-    supports_incremental = True
 
     def __init__(
         self,
@@ -182,8 +180,7 @@ class PopularityBasedPPM(PPMModel):
             max_grade=self.popularity.max_grade,
             weights=corpus.weights,
         )
-        # Space optimisations, fused and vectorised (the fresh bulk store
-        # is dense, which is all prune_dense asks for).
+        # Space optimisations, fused and vectorised.
         self._store, _ = prune_dense(
             self._store,
             cutoff=self.prune_relative_probability,
@@ -233,11 +230,12 @@ class PopularityBasedPPM(PPMModel):
         del escape
         if not context:
             return []
-        matches = compact_suffix_matches(self._store, self._symbols, context)
-        table = self._table_for(threshold)
-        if table is not None:
-            return self._predict_table(matches, context[-1], mark_used, table)
-        return self._predict_compact(matches, context[-1], threshold, mark_used)
+        return self._predict_table(
+            compact_suffix_matches(self._store, self._symbols, context),
+            context[-1],
+            threshold,
+            mark_used,
+        )
 
     def predict_cursor(
         self,
@@ -261,50 +259,31 @@ class PopularityBasedPPM(PPMModel):
         last_url = cursor.last_url
         if last_url is None:
             return []
-        matches = cursor.matches()
-        table = self._table_for(threshold)
-        if table is not None:
-            return self._predict_table(matches, last_url, mark_used, table)
-        return self._predict_compact(matches, last_url, threshold, mark_used)
-
-    def _table_for(self, threshold: float):
-        """The compiled table, if it answers this exact prediction request.
-
-        PB predictions depend on both thresholds, so beyond the base
-        ``covers`` check the table must have been compiled at this model's
-        special-link threshold; any mismatch falls back to the uncompiled
-        store walk (:meth:`_predict_compact`).
-        """
-        table = self._compiled_table()
-        if (
-            table is not None
-            and table.covers(threshold)
-            and table.special_threshold == self.special_link_threshold
-        ):
-            return table
-        return None
+        return self._predict_table(cursor.matches(), last_url, threshold, mark_used)
 
     def _predict_table(
         self,
         matches: "Sequence[tuple[int, int, list[int]]]",
         last_url: str,
+        threshold: float,
         mark_used: bool,
-        table,
     ) -> list[Prediction]:
-        """Compiled twin of :meth:`_predict_compact`.
+        """The merged prediction step over the compiled table.
 
-        Each level's qualifying candidates were filtered and sorted at
-        compile time, so the merge is a dict-dedup over precomputed row
-        slices; the special-link step is one root probe plus its
-        precomputed row.  The per-URL winner, the marked node set and the
-        final ordering are identical to the uncompiled walk.
+        Each matched level, longest first, contributes its row cut at
+        ``threshold``; a URL keeps the prediction of the longest level
+        that produced it.  Then the current click's root adds its special
+        row cut at :attr:`special_link_threshold`.  Only the matched path
+        of a level that contributed, the contributed children, and (when a
+        special entry fires) the root and its linked nodes are marked.
         """
         store = self._store
+        table = self._compiled_table()
         used = store.used
         url_of = self._symbols.url
         predictions: dict[str, Prediction] = {}
         for idx, order, path in matches:
-            row, children = table.context_row(idx, order, url_of)
+            row, children = table.context_row(idx, order, threshold, url_of)
             path_marked = False
             for prediction, child in zip(row, children):
                 if prediction.url not in predictions:
@@ -318,83 +297,15 @@ class PopularityBasedPPM(PPMModel):
         last_sym = self._symbols.get(last_url)
         root = store.roots.get(last_sym) if last_sym is not None else None
         if root is not None:
-            row, groups = table.special_row(root, url_of)
+            row, groups = table.special_row(
+                root, self.special_link_threshold, url_of
+            )
             for prediction, group in zip(row, groups):
                 if prediction.url not in predictions:
                     predictions[prediction.url] = prediction
                     if mark_used:
                         used[root] = 1
                         for linked in group:
-                            used[linked] = 1
-        result = list(predictions.values())
-        result.sort(key=lambda p: (-p.probability, p.url))
-        return result
-
-    def _predict_compact(
-        self,
-        matches: "Sequence[tuple[int, int, list[int]]]",
-        last_url: str,
-        threshold: float,
-        mark_used: bool,
-    ) -> list[Prediction]:
-        """The uncompiled prediction walk over the store, at any threshold.
-
-        Each matched level, longest first, contributes its children that
-        clear ``threshold``; a URL keeps the prediction of the longest
-        level that produced it.  Then the special links of the current
-        click's root add their per-URL aggregated predictions.  Child
-        enumeration follows the sibling chain, but URLs are unique within
-        a node and the result is sorted, so order never leaks out.
-        """
-        store = self._store
-        symbols = self._symbols
-        counts = store.counts
-        used = store.used
-        url_of = symbols.url
-        predictions: dict[str, Prediction] = {}
-        for idx, order, path in matches:
-            total = counts[idx]
-            if total == 0:
-                continue
-            for sym, child in store.iter_children(idx):
-                probability = counts[child] / total
-                url = url_of(sym)
-                if clears_threshold(probability, threshold) and url not in predictions:
-                    predictions[url] = Prediction(
-                        url=url, probability=probability, order=order
-                    )
-                    if mark_used:
-                        for visited in path:
-                            used[visited] = 1
-                        used[child] = 1
-        last_sym = symbols.get(last_url)
-        root = store.roots.get(last_sym) if last_sym is not None else None
-        if root is not None and counts[root] > 0:
-            links = store.special_links.get(root)
-            if links:
-                syms = store.syms
-                aggregated: dict[str, int] = {}
-                for linked in links:
-                    url = url_of(syms[linked])
-                    aggregated[url] = aggregated.get(url, 0) + counts[linked]
-                fired: set[str] = set()
-                for url in aggregated:
-                    probability = min(1.0, aggregated[url] / counts[root])
-                    if (
-                        clears_threshold(probability, self.special_link_threshold)
-                        and url not in predictions
-                    ):
-                        predictions[url] = Prediction(
-                            url=url,
-                            probability=probability,
-                            order=0,
-                            source="special_link",
-                        )
-                        fired.add(url)
-                if mark_used and fired:
-                    used[root] = 1
-                    for linked in links:
-                        if url_of(syms[linked]) in fired:
                             used[linked] = 1
         result = list(predictions.values())
         result.sort(key=lambda p: (-p.probability, p.url))

@@ -12,15 +12,14 @@ root, the duplicated popular nodes linked from that root are predicted as
 well (:meth:`repro.core.pb.PopularityBasedPPM.predict` wires this in).
 
 Every model stores its tree in one array-backed
-:class:`~repro.kernel.compact.CompactTrie`.  Two prediction steps run over
-it: the ``*_table_*`` functions slice the rows of a compiled
-:class:`~repro.kernel.predict_table.PredictTable` (the default threshold),
-and the ``*_compact_*`` functions walk the store's children directly (any
-threshold the table was not compiled at).  Both return identical
-predictions.  :class:`PredictionCursor` adds the incremental path: instead
-of rematching the full context on every click, it carries the previous
+:class:`~repro.kernel.compact.CompactTrie` and predicts through one step
+over it: :func:`predict_from_table_matches` cuts the matched node's row
+of the store's compiled :class:`~repro.kernel.predict_table.PredictTable`
+at the requested threshold, whatever the threshold.
+:class:`PredictionCursor` supplies the matches incrementally: instead of
+rematching the full context on every click, it carries the previous
 click's suffix-match states forward and extends each by one URL, which is
-what the replay engine uses per simulated request.
+what the replay engine and the serving tracker use per request.
 """
 
 from __future__ import annotations
@@ -45,10 +44,10 @@ def clears_threshold(
 ) -> bool:
     """Whether a conditional probability qualifies against a threshold.
 
-    Every prediction path — compiled table, compact walk, batch or
-    incremental — funnels its threshold comparison through here so a
-    borderline value (e.g. an exact 0.25) can never qualify on one path
-    and fail on another.  The epsilon admits probabilities within
+    The compiled table's row cut and the node-forest oracle of
+    ``tests/oracle.py`` both funnel their threshold comparison through
+    here, so a borderline value (e.g. an exact 0.25) can never qualify on
+    one and fail on the other.  The epsilon admits probabilities within
     ``epsilon`` *below* the threshold; it is far too small to flip any
     exact ratio of integer counts, so the guarded comparison is identical
     to ``>=`` on the exact count arithmetic every path performs.
@@ -78,10 +77,6 @@ class Prediction:
     probability: float
     order: int
     source: str = "context"
-
-
-def _prediction_sort_key(prediction: Prediction) -> tuple[float, str]:
-    return (-prediction.probability, prediction.url)
 
 
 # --------------------------------------------------------------------------
@@ -130,81 +125,6 @@ def compact_suffix_matches(
     return matches
 
 
-def predict_from_compact_matches(
-    store: "CompactTrie",
-    symbols: "SymbolTable",
-    matches: "Sequence[tuple[int, int, list[int]]]",
-    *,
-    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-    mark_used: bool = True,
-    escape: bool = False,
-) -> list[Prediction]:
-    """Prediction step over compact suffix matches (longest first).
-
-    The longest matched context predicts its children whose conditional
-    probability clears ``threshold``; the matched path and the predicted
-    children are marked used (Figure 2's utilisation input).  With
-    ``escape`` a context yielding nothing falls back to the next-shorter
-    match — compression-style PPM escape, offered as an ablation; the
-    paper's models leave it off.  Predictions come back sorted by
-    descending probability, ties by URL.
-    """
-    counts = store.counts
-    used = store.used
-    url_of = symbols.url
-    for idx, order, path in matches:
-        total = counts[idx]
-        if total == 0:
-            if escape:
-                continue
-            return []
-        predictions: list[Prediction] = []
-        marked: list[int] = []
-        for sym, child in store.iter_children(idx):
-            probability = counts[child] / total
-            if clears_threshold(probability, threshold):
-                predictions.append(
-                    Prediction(url=url_of(sym), probability=probability, order=order)
-                )
-                marked.append(child)
-        if not predictions and escape:
-            continue
-        if mark_used and predictions:
-            for visited in path:
-                used[visited] = 1
-            for child in marked:
-                used[child] = 1
-        predictions.sort(key=_prediction_sort_key)
-        return predictions
-    return []
-
-
-def predict_from_compact_context(
-    store: "CompactTrie",
-    symbols: "SymbolTable",
-    context: Sequence[str],
-    *,
-    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-    mark_used: bool = True,
-    escape: bool = False,
-) -> list[Prediction]:
-    """Batch longest-match prediction over a compact store.
-
-    Shared by all three models; the paper's *"longest matching method
-    ... matches as many previous URLs as possible to make a prediction"*.
-    """
-    if not context:
-        return []
-    return predict_from_compact_matches(
-        store,
-        symbols,
-        compact_suffix_matches(store, symbols, context),
-        threshold=threshold,
-        mark_used=mark_used,
-        escape=escape,
-    )
-
-
 # --------------------------------------------------------------------------
 # Compiled-table prediction
 # --------------------------------------------------------------------------
@@ -216,24 +136,25 @@ def predict_from_table_matches(
     symbols: "SymbolTable",
     matches: "Sequence[tuple[int, int, list[int]]]",
     *,
+    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
     mark_used: bool = True,
     escape: bool = False,
 ) -> list[Prediction]:
-    """Prediction step over suffix matches via a compiled table.
+    """Longest-match prediction step over suffix matches (longest first).
 
-    The table twin of :func:`predict_from_compact_matches`: the matched
-    node's candidate row was threshold-filtered and
-    ``(-probability, url)``-sorted at compile time, so qualifying here is
-    slicing the row.  An empty row folds the two batch-path outcomes —
-    zero count and no qualifying child — into one case, which preserves
-    escape semantics exactly (both continue under ``escape``, both end
-    prediction without it).  Callers dispatch only when
-    ``table.covers(threshold)``.
+    The longest matched context predicts its children whose conditional
+    probability clears ``threshold``: its table row cut at ``threshold``,
+    already sorted by descending probability, ties by URL.  The matched
+    path and the predicted children are marked used (Figure 2's
+    utilisation input).  An empty cut covers both a zero-count context and
+    one with no qualifying child; with ``escape`` it falls back to the
+    next-shorter match — compression-style PPM escape, offered as an
+    ablation; the paper's models leave it off.
     """
     used = store.used
     url_of = symbols.url
     for idx, order, path in matches:
-        predictions, children = table.context_row(idx, order, url_of)
+        predictions, children = table.context_row(idx, order, threshold, url_of)
         if not predictions:
             if escape:
                 continue
@@ -245,32 +166,6 @@ def predict_from_table_matches(
                 used[child] = 1
         return list(predictions)
     return []
-
-
-def predict_from_table_context(
-    store: "CompactTrie",
-    table: "PredictTable",
-    symbols: "SymbolTable",
-    context: Sequence[str],
-    *,
-    mark_used: bool = True,
-    escape: bool = False,
-) -> list[Prediction]:
-    """Batch longest-match prediction via a compiled table.
-
-    Matching walks the store's packed child map, as the uncompiled path
-    does; only the prediction step reads the table's rows.
-    """
-    if not context:
-        return []
-    return predict_from_table_matches(
-        store,
-        table,
-        symbols,
-        compact_suffix_matches(store, symbols, context),
-        mark_used=mark_used,
-        escape=escape,
-    )
 
 
 # --------------------------------------------------------------------------

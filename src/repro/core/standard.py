@@ -35,7 +35,6 @@ class StandardPPM(PPMModel):
     """
 
     name = "standard"
-    supports_incremental = True
 
     def __init__(self, max_height: int | None = None) -> None:
         super().__init__()

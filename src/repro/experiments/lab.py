@@ -300,7 +300,9 @@ class WorkloadLab:
 
 
 class _EscapeWrapper:
-    """Delegate that forces the ``escape`` flag on every prediction."""
+    """Delegate that forces the ``escape`` flag on every prediction,
+    through both entry points: the batch ``predict`` and the cursor's
+    ``predict_cursor`` the replay engine calls."""
 
     def __init__(self, model: PPMModel, escape: bool) -> None:
         self._model = model
@@ -309,10 +311,30 @@ class _EscapeWrapper:
     def __getattr__(self, name: str):
         return getattr(self._model, name)
 
-    def predict(self, context, *, threshold=params.PREDICTION_PROBABILITY_THRESHOLD, mark_used=True, escape=False):
+    def predict(
+        self,
+        context,
+        *,
+        threshold=params.PREDICTION_PROBABILITY_THRESHOLD,
+        mark_used=True,
+        escape=False,
+    ):
         del escape
         return self._model.predict(
             context, threshold=threshold, mark_used=mark_used, escape=self._escape
+        )
+
+    def predict_cursor(
+        self,
+        cursor,
+        *,
+        threshold=params.PREDICTION_PROBABILITY_THRESHOLD,
+        mark_used=True,
+        escape=False,
+    ):
+        del escape
+        return self._model.predict_cursor(
+            cursor, threshold=threshold, mark_used=mark_used, escape=self._escape
         )
 
 

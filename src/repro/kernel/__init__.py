@@ -17,10 +17,11 @@ the storage/latency substrate every model builds on:
   construction: the PPM builds are n-gram counting, so the whole forest
   is discovered with ``np.unique`` over packed (parent, symbol) keys and
   loaded into the arrays in bulk;
-* :mod:`repro.kernel.prune` — the paper's two space-optimisation passes
-  over the array store;
+* :mod:`repro.kernel.prune` — the paper's two space-optimisation passes,
+  fused into one vectorised rebuild of the array store;
 * :mod:`repro.kernel.predict_table` — the compiled prediction table:
-  per-node candidate rows and PB-PPM's per-root special rows.
+  per-node candidate rows and PB-PPM's per-root special rows, cut at any
+  threshold.
 
 Equivalence guarantee: every model predicts, serialises and renders
 **identically** to the literal Fig. 1 node-forest builders of
@@ -30,11 +31,7 @@ this contract model by model.
 
 from repro.kernel.bulk import build_branch_trie, build_ngram_trie, dedup_sequences
 from repro.kernel.compact import CompactTrie
-from repro.kernel.prune import (
-    prune_compact_by_absolute_count,
-    prune_compact_by_relative_probability,
-    prune_dense,
-)
+from repro.kernel.prune import prune_dense
 from repro.kernel.symbols import SymbolTable
 
 __all__ = [
@@ -43,7 +40,5 @@ __all__ = [
     "build_branch_trie",
     "build_ngram_trie",
     "dedup_sequences",
-    "prune_compact_by_absolute_count",
-    "prune_compact_by_relative_probability",
     "prune_dense",
 ]

@@ -259,7 +259,6 @@ def _grow_trie(
         chunks.clear()  # free the per-level copies before the next column
         target.frombytes(_byte_view(merged))
     store.used = bytearray(base)
-    store._live = base
     children = store.children
     for keys_arr, vals in child_items:
         children.update(zip(keys_arr.tolist(), vals.tolist()))

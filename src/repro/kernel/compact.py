@@ -37,6 +37,10 @@ _NO_NODE = -1
 class CompactTrie:
     """An append-only, array-backed prediction forest.
 
+    The store is always dense: nodes are only ever added, and pruning
+    (:func:`~repro.kernel.prune.prune_dense`) builds a new store, so every
+    array slot is a reachable node and a node's index is its slot.
+
     Attributes
     ----------
     syms / counts / parents / first_child / next_sibling:
@@ -65,7 +69,6 @@ class CompactTrie:
         self.children: dict[int, int] = {}
         self.roots: dict[int, int] = {}
         self.special_links: dict[int, list[int]] = {}
-        self._live = 0
 
     # -- node creation -------------------------------------------------------
 
@@ -77,7 +80,6 @@ class CompactTrie:
         self.first_child.append(_NO_NODE)
         self.next_sibling.append(_NO_NODE)
         self.used.append(0)
-        self._live += 1
         return idx
 
     def ensure_root(self, sym: int) -> int:
@@ -129,11 +131,11 @@ class CompactTrie:
 
     @property
     def node_count(self) -> int:
-        """Number of reachable nodes — the paper's space metric."""
-        return self._live
+        """Number of nodes — the paper's space metric (every slot is one)."""
+        return len(self.syms)
 
     def __len__(self) -> int:
-        return self._live
+        return len(self.syms)
 
     # -- insertion hot paths -------------------------------------------------
 
@@ -173,102 +175,6 @@ class CompactTrie:
             return None
         return self.insert_suffix(ids, 0, len(ids), weight)
 
-    # -- deletion ------------------------------------------------------------
-
-    def _unlink_subtree(self, idx: int) -> list[int]:
-        """Drop the subtree rooted at ``idx`` from every index structure.
-
-        Array slots are left in place as garbage (they are unreachable);
-        :meth:`compacted` rebuilds dense storage.  Returns the removed
-        indices.
-        """
-        removed: list[int] = []
-        stack = [idx]
-        first = self.first_child
-        sibling = self.next_sibling
-        syms = self.syms
-        children = self.children
-        while stack:
-            node = stack.pop()
-            removed.append(node)
-            child = first[node]
-            while child != _NO_NODE:
-                children.pop((node << KEY_SHIFT) | syms[child], None)
-                stack.append(child)
-                child = sibling[child]
-            first[node] = _NO_NODE
-        self._live -= len(removed)
-        return removed
-
-    def delete_child(self, parent: int, sym: int) -> list[int]:
-        """Remove ``parent``'s child for ``sym`` with its whole subtree.
-
-        Returns the removed node indices (for special-link cleanup).
-        """
-        key = (parent << KEY_SHIFT) | sym
-        idx = self.children.pop(key, None)
-        if idx is None:
-            return []
-        cursor = self.first_child[parent]
-        if cursor == idx:
-            self.first_child[parent] = self.next_sibling[idx]
-        else:
-            sibling = self.next_sibling
-            while sibling[cursor] != idx:
-                cursor = sibling[cursor]
-            sibling[cursor] = sibling[idx]
-        return self._unlink_subtree(idx)
-
-    def delete_root(self, sym: int) -> list[int]:
-        """Remove the root for ``sym`` with its whole branch set."""
-        idx = self.roots.pop(sym, None)
-        if idx is None:
-            return []
-        self.special_links.pop(idx, None)
-        return self._unlink_subtree(idx)
-
-    def drop_special_links_to(self, removed: Sequence[int]) -> None:
-        """Filter dangling special links after subtree removals."""
-        if not removed or not self.special_links:
-            return
-        gone = set(removed)
-        for root_idx in list(self.special_links):
-            kept = [idx for idx in self.special_links[root_idx] if idx not in gone]
-            if kept:
-                self.special_links[root_idx] = kept
-            else:
-                del self.special_links[root_idx]
-
-    def compacted(self) -> "CompactTrie":
-        """A dense copy with every garbage slot dropped.
-
-        Call after deletion-heavy builds (LRS level pruning, the PB space
-        optimisations) so the arrays shrink back to the live node set.
-        """
-        dense = CompactTrie()
-        remap: dict[int, int] = {}
-        for sym, root in self.roots.items():
-            new_root = dense.ensure_root(sym)
-            dense.counts[new_root] = self.counts[root]
-            dense.used[new_root] = self.used[root]
-            remap[root] = new_root
-            stack = [root]
-            while stack:
-                old = stack.pop()
-                new = remap[old]
-                for child_sym, child in self.iter_children(old):
-                    new_child = dense.ensure_child(new, child_sym)
-                    dense.counts[new_child] = self.counts[child]
-                    dense.used[new_child] = self.used[child]
-                    remap[child] = new_child
-                    stack.append(child)
-        for root_idx, links in self.special_links.items():
-            if root_idx in remap:
-                mapped = [remap[idx] for idx in links if idx in remap]
-                if mapped:
-                    dense.special_links[remap[root_idx]] = mapped
-        return dense
-
     # -- usage flags and path statistics --------------------------------------
 
     def reset_used(self) -> None:
@@ -278,12 +184,9 @@ class CompactTrie:
     def path_stats(self) -> tuple[int, int]:
         """``(leaf paths, used leaf paths)`` — Figure 2's utilisation input.
 
-        Every slot of a dense store is live, so the leaf paths are the
-        slots without a first child; a store with garbage slots is
-        compacted first.
+        Every slot is a live node, so the leaf paths are the slots without
+        a first child.
         """
-        if len(self.syms) != self._live:
-            return self.compacted().path_stats()
         leaves = np.frombuffer(self.first_child, dtype=np.int64) == _NO_NODE
         used = np.frombuffer(self.used, dtype=np.uint8)[leaves]
         return int(np.count_nonzero(leaves)), int(np.count_nonzero(used))
@@ -437,6 +340,5 @@ class CompactTrie:
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
-            f"CompactTrie(nodes={self._live}, roots={len(self.roots)}, "
-            f"slots={len(self.syms)})"
+            f"CompactTrie(nodes={len(self.syms)}, roots={len(self.roots)})"
         )

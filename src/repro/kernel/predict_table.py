@@ -1,39 +1,39 @@
-"""Compiled prediction tables: predict as an array slice, not a trie walk.
+"""Compiled prediction tables: predict as a row prefix, not a trie walk.
 
 The prediction hot loop — enumerate a matched node's children, divide two
-counts, compare against the 0.25 threshold, sort the survivors — repeats
+counts, sort them, keep those that clear the threshold — repeats
 identical work for every click routed through the same node.  This module
-moves all of it to build/swap time: one compilation pass flattens a
-:class:`~repro.kernel.compact.CompactTrie` into CSR-style numpy arrays so
-that at request time a prediction is a row slice.  Suffix matching stays
-on the store's packed child map.
+moves the division and the sort to build/swap time: one compilation pass
+flattens a :class:`~repro.kernel.compact.CompactTrie` into CSR-style
+numpy arrays so that at request time a prediction is a row prefix.
+Suffix matching stays on the store's packed child map.
 
 Two array families make up a :class:`PredictTable`:
 
-* **Context rows** — per node, the children that clear the prediction
-  threshold, already sorted by ``(-probability, url)``: ``ctx_offsets``
-  (CSR offsets, one slot per node), ``ctx_sym`` / ``ctx_prob`` /
+* **Context rows** — per node, every child (when the node's count is
+  above 0), sorted by ``(-probability, url)``: ``ctx_offsets`` (CSR
+  offsets, one slot per node), ``ctx_sym`` / ``ctx_prob`` /
   ``ctx_child`` (predicted symbol, conditional probability, child node
-  index for usage marking).  A row slice *is* the prediction — no
-  per-call threshold check, division or sort.
-* **Special rows** — PB-PPM's rule-3 predictions per root: per-URL
-  aggregated link counts gated by the special-link threshold, with the
-  linked node indices kept per row (``spl_offsets`` / ``spl_nodes``) so
-  usage marking stays exact.
+  index for usage marking).
+* **Special rows** — PB-PPM's rule-3 predictions per root (when the
+  root's count is above 0): per-URL aggregated link counts in the same
+  order, with the linked node indices kept per row (``spl_offsets`` /
+  ``spl_nodes``) so usage marking stays exact.
 
-The table is immutable once compiled and carries the thresholds it was
-compiled at; dispatch (:meth:`covers`) falls back to the uncompiled store
-walk for any other threshold, so experiment sweeps stay exact.  Row
-slices are materialised lazily into tuples of shared frozen
-:class:`~repro.core.prediction.Prediction` objects, cached per
-``(node, order)`` — repeat visits to hot nodes allocate nothing.
+The table holds no threshold.  Rows are sorted by descending probability
+and :func:`~repro.core.prediction.clears_threshold` is monotone in it, so
+the entries that clear any threshold ``t`` are a row's leading entries:
+one compile per store generation answers every threshold.  Cut rows are
+materialised lazily into tuples of shared frozen
+:class:`~repro.core.prediction.Prediction` objects, memoised per node for
+the last threshold asked — repeat visits to hot nodes allocate nothing,
+and the memo never holds more than one cut per node.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import params
 from repro.core.prediction import Prediction, clears_threshold
 from repro.kernel.compact import CompactTrie
 from repro.kernel.symbols import SymbolTable, string_ranks
@@ -48,18 +48,31 @@ def _as_int64(values) -> np.ndarray:
     return np.frombuffer(values, dtype=np.int64)
 
 
+def _cut(probs: list[float], threshold: float) -> int:
+    """Length of the leading run of a row's ``probs`` that clears ``threshold``.
+
+    Rows are sorted by descending probability and
+    :func:`~repro.core.prediction.clears_threshold` is monotone in it, so
+    the entries that qualify are exactly this prefix.
+    """
+    cut = 0
+    for probability in probs:
+        if not clears_threshold(probability, threshold):
+            break
+        cut += 1
+    return cut
+
+
 class PredictTable:
     """Precompiled candidate rows for one compact store.
 
     Instances are immutable value objects over nine numpy arrays (see the
-    module docstring for the layout) plus two lazy Python-side caches
-    that memoise row slices as tuples of shared frozen ``Prediction``
-    objects.  Build with :func:`compile_predict_table`.
+    module docstring for the layout) plus two lazy Python-side memos
+    that hold each node's last cut row as a tuple of shared frozen
+    ``Prediction`` objects.  Build with :func:`compile_predict_table`.
     """
 
     __slots__ = (
-        "threshold",
-        "special_threshold",
         "node_count",
         "ctx_offsets",
         "ctx_sym",
@@ -77,8 +90,6 @@ class PredictTable:
     def __init__(
         self,
         *,
-        threshold: float,
-        special_threshold: float,
         ctx_offsets: np.ndarray,
         ctx_sym: np.ndarray,
         ctx_prob: np.ndarray,
@@ -89,8 +100,6 @@ class PredictTable:
         spl_offsets: np.ndarray,
         spl_nodes: np.ndarray,
     ) -> None:
-        self.threshold = float(threshold)
-        self.special_threshold = float(special_threshold)
         self.node_count = len(ctx_offsets) - 1
         self.ctx_offsets = ctx_offsets
         self.ctx_sym = ctx_sym
@@ -101,90 +110,81 @@ class PredictTable:
         self.spc_prob = spc_prob
         self.spl_offsets = spl_offsets
         self.spl_nodes = spl_nodes
-        self._row_cache: dict[tuple[int, int], tuple] = {}
+        #: node -> (threshold, order, row) and root -> (threshold, row):
+        #: one memoised cut per node, replaced when another is asked.
+        self._row_cache: dict[int, tuple] = {}
         self._special_cache: dict[int, tuple] = {}
-
-    # -- dispatch --------------------------------------------------------------
-
-    def covers(self, threshold: float) -> bool:
-        """Whether the table answers predictions at ``threshold``.
-
-        Rows were filtered at compile time, so only the exact compiled
-        threshold is answerable; any other value (an ablation sweep, a
-        per-request override) must use the uncompiled store walk.
-        """
-        return threshold == self.threshold
 
     # -- row access ------------------------------------------------------------
 
     def context_row(
-        self, idx: int, order: int, url_of
+        self, idx: int, order: int, threshold: float, url_of
     ) -> tuple[tuple[Prediction, ...], tuple[int, ...]]:
-        """``(predictions, child indices)`` for a matched node.
+        """``(predictions, child indices)`` of a matched node at ``threshold``.
 
-        Predictions arrive sorted by ``(-probability, url)`` with
-        ``order`` already set; the parallel child-index tuple feeds usage
-        marking.  The tuple of frozen ``Prediction`` objects is cached
-        and shared across calls.
+        The row's leading children that clear ``threshold``, sorted by
+        ``(-probability, url)`` with ``order`` already set; the parallel
+        child-index tuple feeds usage marking.  The cut is memoised per
+        node for the last ``(threshold, order)`` asked.
         """
-        key = (idx, order)
-        row = self._row_cache.get(key)
-        if row is None:
-            lo = int(self.ctx_offsets[idx])
-            hi = int(self.ctx_offsets[idx + 1])
-            if lo == hi:
-                row = ((), ())
-            else:
-                probs = self.ctx_prob[lo:hi].tolist()
-                syms = self.ctx_sym[lo:hi].tolist()
-                row = (
-                    tuple(
-                        Prediction(
-                            url=url_of(sym), probability=prob, order=order
-                        )
-                        for sym, prob in zip(syms, probs)
-                    ),
-                    tuple(self.ctx_child[lo:hi].tolist()),
-                )
-            self._row_cache[key] = row
+        memo = self._row_cache.get(idx)
+        if memo is not None and memo[0] == threshold and memo[1] == order:
+            return memo[2]
+        lo, hi = self.ctx_offsets[idx : idx + 2].tolist()
+        probs = self.ctx_prob[lo:hi].tolist()
+        stop = lo + _cut(probs, threshold)
+        if stop == lo:
+            row = ((), ())
+        else:
+            syms = self.ctx_sym[lo:stop].tolist()
+            row = (
+                tuple(
+                    Prediction(url=url_of(sym), probability=prob, order=order)
+                    for sym, prob in zip(syms, probs)
+                ),
+                tuple(self.ctx_child[lo:stop].tolist()),
+            )
+        self._row_cache[idx] = (threshold, order, row)
         return row
 
     def special_row(
-        self, root: int, url_of
+        self, root: int, threshold: float, url_of
     ) -> tuple[tuple[Prediction, ...], tuple[tuple[int, ...], ...]]:
-        """``(predictions, linked index groups)`` for a root's special links.
+        """``(predictions, linked index groups)`` of a root at ``threshold``.
 
-        One prediction per linked URL that cleared the special-link
-        threshold (order 0, source ``"special_link"``); the parallel
-        groups carry the duplicated nodes aggregated into each row, for
-        usage marking.
+        One prediction per linked URL among the row's leading entries
+        that clear the special-link ``threshold`` (order 0, source
+        ``"special_link"``); the parallel groups carry the duplicated
+        nodes aggregated into each entry, for usage marking.  Memoised
+        per root for the last threshold asked.
         """
-        row = self._special_cache.get(root)
-        if row is None:
-            lo = int(self.spc_offsets[root])
-            hi = int(self.spc_offsets[root + 1])
-            if lo == hi:
-                row = ((), ())
-            else:
-                probs = self.spc_prob[lo:hi].tolist()
-                syms = self.spc_sym[lo:hi].tolist()
-                bounds = self.spl_offsets[lo : hi + 1].tolist()
-                row = (
-                    tuple(
-                        Prediction(
-                            url=url_of(sym),
-                            probability=prob,
-                            order=0,
-                            source="special_link",
-                        )
-                        for sym, prob in zip(syms, probs)
-                    ),
-                    tuple(
-                        tuple(self.spl_nodes[start:stop].tolist())
-                        for start, stop in zip(bounds, bounds[1:])
-                    ),
-                )
-            self._special_cache[root] = row
+        memo = self._special_cache.get(root)
+        if memo is not None and memo[0] == threshold:
+            return memo[1]
+        lo, hi = self.spc_offsets[root : root + 2].tolist()
+        probs = self.spc_prob[lo:hi].tolist()
+        stop = lo + _cut(probs, threshold)
+        if stop == lo:
+            row = ((), ())
+        else:
+            syms = self.spc_sym[lo:stop].tolist()
+            bounds = self.spl_offsets[lo : stop + 1].tolist()
+            row = (
+                tuple(
+                    Prediction(
+                        url=url_of(sym),
+                        probability=prob,
+                        order=0,
+                        source="special_link",
+                    )
+                    for sym, prob in zip(syms, probs)
+                ),
+                tuple(
+                    tuple(self.spl_nodes[start:end].tolist())
+                    for start, end in zip(bounds, bounds[1:])
+                ),
+            )
+        self._special_cache[root] = (threshold, row)
         return row
 
     def storage_bytes(self) -> int:
@@ -207,59 +207,39 @@ class PredictTable:
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
             f"PredictTable(nodes={self.node_count}, "
-            f"rows={len(self.ctx_sym)}, special={len(self.spc_sym)}, "
-            f"threshold={self.threshold})"
+            f"rows={len(self.ctx_sym)}, special={len(self.spc_sym)})"
         )
 
 
-def compile_predict_table(
-    store: CompactTrie,
-    symbols: "SymbolTable",
-    *,
-    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-    special_threshold: float = params.SPECIAL_LINK_THRESHOLD,
-) -> PredictTable | None:
+def compile_predict_table(store: CompactTrie, symbols: "SymbolTable") -> PredictTable:
     """Flatten a compact store into a :class:`PredictTable`.
 
     Context rows are one whole-array pass: a stable lexsort that groups
-    the qualifying children by parent and orders each row by
-    ``(-probability, url)``.  The URL tie-break ranks symbols in Python
-    string order (:func:`~repro.kernel.symbols.string_ranks`), exactly
-    as the uncompiled walk compares them.  Only PB-PPM's special rows
-    keep a loop, over the roots that carry special links.
-
-    Returns None for a store with garbage slots (left by
-    ``delete_child`` / ``delete_root`` and the per-pass prune functions,
-    until :meth:`~repro.kernel.compact.CompactTrie.compacted`): its node
-    indices would not survive densification, and every path that serves
-    predictions — fresh fits, ``prune_dense`` output, snapshot loads —
-    is dense already.
+    every child of a parent whose count is above 0 by parent and orders
+    each row by ``(-probability, url)``.  The URL tie-break ranks symbols
+    in Python string order (:func:`~repro.kernel.symbols.string_ranks`).
+    Only PB-PPM's special rows keep a loop, over the roots that carry
+    special links.  No threshold filters a row: predictions cut it
+    (:meth:`PredictTable.context_row`), so one table serves them all.
     """
-    n = len(store.syms)
-    if n != store.node_count:
-        return None
     global COMPILE_COUNT
     COMPILE_COUNT += 1
+    n = len(store.syms)
     url_of = symbols.url
     syms = _as_int64(store.syms)
     counts = _as_int64(store.counts)
     parents = _as_int64(store.parents)
 
-    # Context rows: the qualifying children, grouped per parent and
-    # ordered by (-probability, url) in one stable lexsort.  The division
-    # below is the same int64 / int64 -> float64 the uncompiled path
-    # performs per request, so probabilities are bit-identical.
+    # Context rows: every child of a counted parent, grouped per parent
+    # and ordered by (-probability, url) in one stable lexsort.  The
+    # division is int64 / int64 -> float64, bit-identical to the
+    # per-request division of the node-forest oracle.
     non_root = parents >= 0
     parent_idx = np.where(non_root, parents, 0)
     parent_counts = counts[parent_idx]
     probs = np.zeros(n, dtype=np.float64)
     np.divide(counts, parent_counts, out=probs, where=parent_counts > 0)
-    qualify = (
-        non_root
-        & (parent_counts > 0)
-        & (probs + params.PROBABILITY_EPSILON >= threshold)
-    )
-    cand = np.nonzero(qualify)[0]
+    cand = np.nonzero(non_root & (parent_counts > 0))[0]
     url_rank = string_ranks(symbols.urls())
     ctx_child = cand[
         np.lexsort((url_rank[syms[cand]], -probs[cand], parents[cand]))
@@ -270,8 +250,8 @@ def compile_predict_table(
     np.cumsum(np.bincount(parents[cand], minlength=n), out=ctx_offsets[1:])
 
     # Special rows: PB-PPM's per-root linked predictions, aggregated by
-    # URL, gated by the special-link threshold, with the contributing
-    # node indices kept per row for usage marking.
+    # URL, with the contributing node indices kept per row for usage
+    # marking.
     counts_list = counts.tolist()
     syms_list = syms.tolist()
     spc_row_counts = np.zeros(n, dtype=np.int64)
@@ -289,13 +269,10 @@ def compile_predict_table(
             sym = syms_list[linked]
             aggregated[sym] = aggregated.get(sym, 0) + counts_list[linked]
             groups.setdefault(sym, []).append(linked)
-        entries = []
-        for sym, aggregate in aggregated.items():
-            probability = min(1.0, aggregate / total)
-            if clears_threshold(probability, special_threshold):
-                entries.append((probability, sym))
-        if not entries:
-            continue
+        entries = [
+            (min(1.0, aggregate / total), sym)
+            for sym, aggregate in aggregated.items()
+        ]
         entries.sort(key=lambda e: (-e[0], url_of(e[1])))
         spc_row_counts[root] = len(entries)
         for probability, sym in entries:
@@ -307,8 +284,6 @@ def compile_predict_table(
     np.cumsum(spc_row_counts, out=spc_offsets[1:])
 
     return PredictTable(
-        threshold=threshold,
-        special_threshold=special_threshold,
         ctx_offsets=ctx_offsets,
         ctx_sym=ctx_sym,
         ctx_prob=ctx_prob,

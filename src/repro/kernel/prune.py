@@ -7,83 +7,19 @@
 2. **Absolute-count cut** — remove each node whose absolute number of
    accesses is at most one (applied for some traces, e.g. UCB-CS).
 
-Each pass drops PB-PPM special links into removed subtrees, so the tree
-never dangles, and returns the number of nodes removed.  The per-pass
-functions mutate a store in place; :func:`prune_dense` runs both as one
-vectorised rebuild and is what model fits and
-:meth:`repro.core.base.PPMModel.prune` use.  ``tests/oracle.py`` keeps the
-literal node-forest passes they are checked against.
+:func:`prune_dense` runs both passes as one vectorised rebuild into a new
+dense store, dropping PB-PPM special links into removed subtrees so the
+tree never dangles; model fits and :meth:`repro.core.base.PPMModel.prune`
+use it.  ``tests/oracle.py`` keeps the literal node-forest passes it is
+checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro import params
 from repro.kernel.bulk import _byte_view
 from repro.kernel.compact import KEY_SHIFT, CompactTrie
-
-
-def prune_compact_by_relative_probability(
-    store: CompactTrie,
-    *,
-    cutoff: float = params.PRUNE_RELATIVE_PROBABILITY,
-) -> int:
-    """Remove non-root nodes with relative access probability below ``cutoff``.
-
-    The comparison is strict, a zero-count parent yields probability 0.0
-    for every child, and roots are never touched.
-    """
-    if not 0.0 <= cutoff <= 1.0:
-        raise ValueError(f"cutoff must be within [0, 1]: {cutoff}")
-    counts = store.counts
-    removed: list[int] = []
-    stack = list(store.roots.values())
-    while stack:
-        idx = stack.pop()
-        parent_count = counts[idx]
-        for sym, child in list(store.iter_children(idx)):
-            probability = counts[child] / parent_count if parent_count else 0.0
-            if probability < cutoff:
-                removed.extend(store.delete_child(idx, sym))
-            else:
-                stack.append(child)
-    store.drop_special_links_to(removed)
-    return len(removed)
-
-
-def prune_compact_by_absolute_count(
-    store: CompactTrie,
-    *,
-    max_count: int = params.PRUNE_ABSOLUTE_COUNT,
-) -> int:
-    """Remove every node accessed at most ``max_count`` times.
-
-    A root failing the test is removed with its whole branch set;
-    interior failures drop their subtree (counts are monotone
-    non-increasing along a branch, so a failing node's descendants all
-    fail too).
-    """
-    if max_count < 0:
-        raise ValueError(f"max_count must be >= 0: {max_count}")
-    counts = store.counts
-    removed: list[int] = []
-    stack: list[int] = []
-    for sym in list(store.roots):
-        root = store.roots[sym]
-        if counts[root] <= max_count:
-            removed.extend(store.delete_root(sym))
-        else:
-            stack.append(root)
-    while stack:
-        idx = stack.pop()
-        for sym, child in list(store.iter_children(idx)):
-            if counts[child] <= max_count:
-                removed.extend(store.delete_child(idx, sym))
-            else:
-                stack.append(child)
-    store.drop_special_links_to(removed)
-    return len(removed)
 
 
 def prune_dense(
@@ -94,21 +30,19 @@ def prune_dense(
 ) -> tuple[CompactTrie, int]:
     """Both space-optimisation passes fused into one vectorised rebuild.
 
-    Equivalent to running :func:`prune_compact_by_relative_probability`
-    then :func:`prune_compact_by_absolute_count` followed by
-    :meth:`~repro.kernel.compact.CompactTrie.compacted` — a node goes
-    when it fails either test or any ancestor does, so the sequential
-    passes and the fused mask remove the identical node set.  Requires a
-    dense (garbage-free) store, which fresh builds always are; returns
-    ``(new dense store, removed node count)``.  The input is unmodified.
+    ``cutoff`` removes each non-root node whose relative access
+    probability (count over parent count; 0.0 under a zero-count parent)
+    is strictly below it; ``max_count`` removes each node accessed at most
+    that many times.  Either may be None to skip its pass.  A node goes
+    when it fails either test or any ancestor does, so the fused mask
+    removes the node set the two sequential passes would.  Returns
+    ``(new dense store, removed node count)``; the input is unmodified.
     """
     if cutoff is not None and not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be within [0, 1]: {cutoff}")
     if max_count is not None and max_count < 0:
         raise ValueError(f"max_count must be >= 0: {max_count}")
     total = len(store.syms)
-    if store.node_count != total:
-        raise ValueError("prune_dense requires a dense store")
     if not total or (cutoff is None and max_count is None):
         return store, 0
     syms = np.frombuffer(store.syms, dtype=np.int64)
@@ -168,7 +102,6 @@ def prune_dense(
     dense.used = bytearray(
         memoryview(np.frombuffer(bytes(store.used), dtype=np.uint8)[kept])
     )
-    dense._live = kept_count
     for sym, idx in store.roots.items():
         if keep[idx]:
             dense.roots[sym] = int(remap[idx])

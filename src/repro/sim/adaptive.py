@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.sim.engine import PrefetchSimulator, _Endpoint
+from repro.sim.engine import PrefetchSimulator
 from repro.sim.metrics import SimulationResult
 
 
@@ -103,45 +103,9 @@ class AdaptivePrefetchSimulator(PrefetchSimulator):
 
     # -- engine hook -----------------------------------------------------------
 
-    def _issue_prefetches(
-        self, result, target: _Endpoint, context, origin=None, *, cursor=None
-    ) -> None:
-        if self.model is None:
-            return
+    def _next_threshold(self, result: SimulationResult) -> float:
         self._maybe_adjust(result)
-        cfg = self.config
-        if cursor is not None:
-            predictions = self.model.predict_cursor(
-                cursor, threshold=self._effective_threshold, mark_used=True
-            )
-        else:
-            predictions = self.model.predict(
-                context, threshold=self._effective_threshold, mark_used=True
-            )
-        result.predictions_made += len(predictions)
-        issued = 0
-        for prediction in predictions:
-            if issued >= cfg.max_prefetch_per_request:
-                break
-            size = self.url_sizes.get(prediction.url)
-            if size is None or size > cfg.prefetch_size_limit_bytes:
-                continue
-            if prediction.url in target.cache:
-                continue
-            if target.prefetch_fill(prediction.url, size):
-                result.prefetch_bytes += size
-                result.prefetches_issued += 1
-                issued += 1
-                if origin is not None:
-                    from repro.sim.events import EventKind
-
-                    self._log_event(
-                        origin[0],
-                        origin[1],
-                        prediction.url,
-                        EventKind.PREFETCH,
-                        prediction.probability,
-                    )
+        return self._effective_threshold
 
     @property
     def effective_threshold(self) -> float:

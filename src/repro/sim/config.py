@@ -31,14 +31,6 @@ class SimulationConfig:
         an unlimited-height standard PPM cannot make prediction cost
         quadratic in session length; 20 comfortably exceeds every branch
         height the paper uses.
-    incremental_prediction:
-        When true (the default), each simulated client carries a
-        :class:`~repro.core.prediction.PredictionCursor` that extends the
-        previous click's suffix-match states by one URL instead of
-        rematching the whole context on every request.  Predictions, usage
-        marking and therefore every reported metric are identical either
-        way (the cursor invariant is pinned by ``tests/kernel/``); false
-        forces the batch rematch, kept as the reference path.
     max_prefetch_per_request:
         Safety cap on prefetches issued per demand request (the 0.25
         probability threshold already bounds the fan-out to at most 4
@@ -65,7 +57,6 @@ class SimulationConfig:
     proxy_cache_bytes: int = params.PROXY_CACHE_BYTES
     proxy_requests_per_day: float = params.PROXY_REQUESTS_PER_DAY
     max_context_length: int = params.DEFAULT_MAX_CONTEXT_LENGTH
-    incremental_prediction: bool = True
     max_prefetch_per_request: int = 16
     reset_context_on_session_gap: bool = True
     idle_timeout_seconds: float = params.SESSION_IDLE_TIMEOUT_S

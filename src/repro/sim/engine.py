@@ -86,14 +86,13 @@ class _Endpoint:
 
 @dataclass
 class _ClientState:
-    """Per-client session context and (client-mode) caches."""
+    """Per-client prediction cursor and (client-mode) caches."""
 
     endpoint: _Endpoint
     shadow: CacheLike
-    context: list[str] = field(default_factory=list)
     last_time: float = float("-inf")
-    #: Incremental suffix-match state mirroring ``context``; None when the
-    #: run has no model or ``incremental_prediction`` is off.
+    #: The client's session context as incremental suffix-match state;
+    #: None when the run has no model.
     cursor: PredictionCursor | None = None
 
 
@@ -157,7 +156,7 @@ class PrefetchSimulator:
         return result
 
     def _new_cursor(self) -> PredictionCursor | None:
-        if self.model is None or not self.config.incremental_prediction:
+        if self.model is None:
             return None
         return self.model.prediction_cursor(self.config.max_context_length)
 
@@ -178,18 +177,14 @@ class PrefetchSimulator:
         self, state: _ClientState, url: str, timestamp: float
     ) -> None:
         cfg = self.config
-        if (
-            cfg.reset_context_on_session_gap
-            and timestamp - state.last_time > cfg.idle_timeout_seconds
-        ):
-            state.context.clear()
-            if state.cursor is not None:
-                state.cursor.reset()
-        state.context.append(url)
-        if len(state.context) > cfg.max_context_length:
-            del state.context[: len(state.context) - cfg.max_context_length]
-        if state.cursor is not None:
-            state.cursor.advance(url)
+        cursor = state.cursor
+        if cursor is not None:
+            if (
+                cfg.reset_context_on_session_gap
+                and timestamp - state.last_time > cfg.idle_timeout_seconds
+            ):
+                cursor.reset()
+            cursor.advance(url)
         state.last_time = timestamp
 
     def _account_prefetch_hit(
@@ -203,16 +198,24 @@ class PrefetchSimulator:
         if self.popularity is not None and self.popularity.is_popular(url):
             result.popular_prefetch_hits += 1
 
+    def _next_threshold(self, result: SimulationResult) -> float:
+        """The probability threshold of the next prediction.
+
+        The configured one;
+        :class:`~repro.sim.adaptive.AdaptivePrefetchSimulator` overrides
+        it with its traffic-budget controller.
+        """
+        return self.config.prediction_threshold
+
     def _issue_prefetches(
         self,
         result: SimulationResult,
         target: _Endpoint,
-        context: Sequence[str],
+        cursor: PredictionCursor | None,
         origin: tuple[float, str] | None = None,
-        *,
-        cursor: PredictionCursor | None = None,
     ) -> None:
-        """Predict from ``context`` and push what fits into ``target``.
+        """Predict from the client's ``cursor`` and push what fits into
+        ``target``.
 
         ``origin`` is the ``(timestamp, client)`` of the demand request
         that triggered the predictions, used only for event logging.
@@ -220,14 +223,9 @@ class PrefetchSimulator:
         if self.model is None:
             return
         cfg = self.config
-        if cursor is not None:
-            predictions = self.model.predict_cursor(
-                cursor, threshold=cfg.prediction_threshold, mark_used=True
-            )
-        else:
-            predictions = self.model.predict(
-                context, threshold=cfg.prediction_threshold, mark_used=True
-            )
+        predictions = self.model.predict_cursor(
+            cursor, threshold=self._next_threshold(result), mark_used=True
+        )
         result.predictions_made += len(predictions)
         issued = 0
         for prediction in predictions:
@@ -339,8 +337,7 @@ class PrefetchSimulator:
                 )
 
             self._issue_prefetches(
-                result, state.endpoint, state.context, (timestamp, client),
-                cursor=state.cursor,
+                result, state.endpoint, state.cursor, (timestamp, client)
             )
 
         return self._finish_result(result)
@@ -450,8 +447,7 @@ class PrefetchSimulator:
                 )
 
             self._issue_prefetches(
-                result, proxy, state.context, (timestamp, client),
-                cursor=state.cursor,
+                result, proxy, state.cursor, (timestamp, client)
             )
 
         return self._finish_result(result)

@@ -15,12 +15,13 @@ The literal Fig. 1 node forest of ``tests/oracle.py``, built from the same
 sessions and predicting by node longest-match, is replayed as a fourth
 path: the reference the other three must match.  The HTTP leg — served
 ``/predict`` bodies against the tracker — is
-``tests/differential/test_http_agreement.py``.  Every path runs at two
-thresholds: the default, which the compiled prediction table answers
-(``compiled``), and one the table was not compiled at, which the
-uncompiled store walk answers (``uncompiled``).  This suite replays
-hundreds of seeded synthetic sessions through all paths and asserts
-prediction-for-prediction equality.  On divergence a
+``tests/differential/test_http_agreement.py``.  Every path runs at six
+thresholds, from 0.0 to 1.0 with the default and a value a hair below it
+among them; the three production paths answer each one by cutting the
+rows of the same compiled table, and PB-PPM also runs at two
+special-link thresholds.  This suite replays hundreds of seeded synthetic
+sessions through all paths and asserts prediction-for-prediction
+equality.  On divergence a
 greedy shrinking loop reduces the session to a minimal reproducer before
 failing, so the report names the shortest click sequence (and the first
 divergent click) instead of a 40-click haystack.
@@ -44,8 +45,16 @@ SEED = 20260805
 MIN_SESSIONS = 100
 CONTEXT_LENGTH = params.DEFAULT_MAX_CONTEXT_LENGTH
 THRESHOLD = params.PREDICTION_PROBABILITY_THRESHOLD
-#: A threshold no compiled table covers, so predictions take the walk.
-UNCOVERED_THRESHOLD = 0.2
+#: Every threshold the suite runs at: the bounds, the default, and just
+#: below the default by less than the comparison epsilon.
+THRESHOLDS = (
+    0.0,
+    0.1,
+    THRESHOLD - params.PROBABILITY_EPSILON / 2,
+    THRESHOLD,
+    0.5,
+    1.0,
+)
 
 
 def _as_tuples(predictions):
@@ -172,16 +181,10 @@ def corpus():
     return trace.split(train_days=3, test_days=1)
 
 
-@pytest.fixture(
-    scope="module",
-    params=(THRESHOLD, UNCOVERED_THRESHOLD),
-    ids=("compiled", "uncompiled"),
-    autouse=True,
-)
+@pytest.fixture(scope="module", params=THRESHOLDS, ids=repr, autouse=True)
 def threshold(request):
-    """Run the whole agreement suite through the compiled prediction table
-    (the threshold it was compiled at) and through the uncompiled store
-    walk (a threshold it was not)."""
+    """Run the whole agreement suite at every threshold of
+    :data:`THRESHOLDS`, each a different cut of the one compiled table."""
     return request.param
 
 
@@ -206,8 +209,6 @@ class TestAllPathsAgree:
     def test_every_session_agrees_across_all_paths(
         self, corpus, models, threshold
     ):
-        compiled = models["compact"]._compiled_table()
-        assert compiled.covers(threshold) == (threshold == THRESHOLD)
         checked = 0
         for index, session in enumerate(corpus.test_sessions):
             divergence = _first_divergence(models, session.urls, threshold)
@@ -222,6 +223,27 @@ class TestAllPathsAgree:
         models = {
             "compact": StandardPPM().fit(train),
             "forest": OracleModel(StandardPPM(), train),
+        }
+        for index, session in enumerate(corpus.test_sessions[:MIN_SESSIONS]):
+            divergence = _first_divergence(models, session.urls, threshold)
+            if divergence is not None:
+                pytest.fail(_report_divergence(models, session, index, threshold))
+
+
+    @pytest.mark.parametrize("special", (0.0, 0.3))
+    def test_pb_special_link_thresholds_agree(self, corpus, threshold, special):
+        """PB-PPM's special rows are cut at the model's special-link
+        threshold per prediction; off its default too."""
+        train = corpus.train_sessions
+        popularity = PopularityTable.from_sessions(train)
+        models = {
+            "compact": PopularityBasedPPM(
+                popularity, special_link_threshold=special
+            ).fit(train),
+            "forest": OracleModel(
+                PopularityBasedPPM(popularity, special_link_threshold=special),
+                train,
+            ),
         }
         for index, session in enumerate(corpus.test_sessions[:MIN_SESSIONS]):
             divergence = _first_divergence(models, session.urls, threshold)

@@ -34,13 +34,12 @@ def corpus():
 @pytest.fixture(
     scope="module",
     params=(params.PREDICTION_PROBABILITY_THRESHOLD, 0.2),
-    ids=("compiled", "uncompiled"),
+    ids=repr,
     autouse=True,
 )
 def threshold(request):
-    """Both prediction paths: at the default threshold the server answers
-    from the compiled table; at a threshold it was not compiled at it
-    takes the uncompiled store walk."""
+    """The default threshold and a ``?threshold=`` off it: the server
+    answers both by cutting the rows of the one compiled table."""
     return request.param
 
 

@@ -82,6 +82,15 @@ class TestRuns:
         escaped = lab.run("standard", 2, escape=True)
         assert plain is not escaped
 
+    def test_escape_reaches_the_replayed_predictions(self):
+        """The engine predicts through the cursor entry point, so the
+        escape override must reach it: escape only adds predictions."""
+        seeded = WorkloadLab("nasa-like", total_days=3, seed=7, scale=0.1)
+        for key, plain, escaped in (("standard", 250, 274), ("lrs", 170, 189)):
+            assert seeded.run(key, 2).predictions_made == plain
+            assert seeded.run(key, 2, escape=False).predictions_made == plain
+            assert seeded.run(key, 2, escape=True).predictions_made == escaped
+
     def test_threshold_override_applies(self, lab):
         loose = lab.run("standard", 2, threshold=0.01)
         strict = lab.run("standard", 2, threshold=0.99)

@@ -63,74 +63,6 @@ class TestInsertion:
         assert len(indices) == 4
 
 
-class TestDeletion:
-    def test_delete_child_removes_subtree(self):
-        store, symbols = build_simple()
-        a = store.roots[symbols.get("A")]
-        removed = store.delete_child(a, symbols.get("B"))
-        assert len(removed) == 3
-        assert store.node_count == 1
-        assert store.child(a, symbols.get("B")) is None
-
-    def test_delete_missing_child_is_noop(self):
-        store, symbols = build_simple()
-        a = store.roots[symbols.get("A")]
-        assert store.delete_child(a, symbols.intern("Z")) == []
-        assert store.node_count == 4
-
-    def test_delete_root(self):
-        store, symbols = build_simple()
-        removed = store.delete_root(symbols.get("A"))
-        assert len(removed) == 4
-        assert store.node_count == 0
-        assert store.roots == {}
-
-    def test_sibling_chain_survives_middle_deletion(self):
-        store = CompactTrie()
-        symbols = SymbolTable()
-        store.insert_path(symbols.intern_sequence(("R", "a")))
-        store.insert_path(symbols.intern_sequence(("R", "b")))
-        store.insert_path(symbols.intern_sequence(("R", "c")))
-        r = store.roots[symbols.get("R")]
-        store.delete_child(r, symbols.get("b"))
-        remaining = {sym for sym, _ in store.iter_children(r)}
-        assert remaining == {symbols.get("a"), symbols.get("c")}
-
-    def test_dangling_special_links_dropped(self):
-        store, symbols = build_simple()
-        a = store.roots[symbols.get("A")]
-        b = store.child(a, symbols.get("B"))
-        c = store.child(b, symbols.get("C"))
-        store.special_links[a] = [c]
-        removed = store.delete_child(b, symbols.get("C"))
-        store.drop_special_links_to(removed)
-        assert store.special_links == {}
-
-
-class TestCompaction:
-    def test_compacted_drops_garbage_slots(self):
-        store, symbols = build_simple()
-        a = store.roots[symbols.get("A")]
-        b = store.child(a, symbols.get("B"))
-        store.delete_child(b, symbols.get("D"))
-        assert len(store.syms) > store.node_count
-        dense = store.compacted()
-        assert len(dense.syms) == dense.node_count == store.node_count
-
-    def test_compacted_preserves_counts_used_and_links(self):
-        store, symbols = build_simple()
-        a = store.roots[symbols.get("A")]
-        b = store.child(a, symbols.get("B"))
-        c = store.child(b, symbols.get("C"))
-        store.used[c] = 1
-        store.special_links[a] = [c]
-        dense = store.compacted()
-        forest = dense.to_node_forest(symbols)
-        assert forest["A"].children["B"].children["C"].used
-        assert forest["A"].children["B"].children["C"].count == 2
-        assert [n.url for n in forest["A"].special_links] == ["C"]
-
-
 class TestUsage:
     def test_path_stats_counts_leaves(self):
         store, symbols = build_simple()

@@ -149,13 +149,18 @@ class TestInvalidation:
 
 class TestFallbacksAndErrors:
     def test_topn_cursor_falls_back_to_batch(self):
+        """Top-N's cursor prediction is its batch prediction: the push
+        reads only the last click."""
         model = TopNPush(n=2).fit(make_sessions(SEQUENCES))
-        assert not model.supports_incremental
         cursor = model.prediction_cursor()
-        cursor.advance("A")
         assert model.predict_cursor(
             cursor, threshold=0.0, mark_used=False
-        ) == model.predict(["A"], threshold=0.0, mark_used=False)
+        ) == model.predict([], threshold=0.0, mark_used=False)
+        for context in (["A"], ["A", "B"]):
+            cursor.advance(context[-1])
+            assert model.predict_cursor(
+                cursor, threshold=0.0, mark_used=False
+            ) == model.predict(context, threshold=0.0, mark_used=False)
 
     def test_foreign_cursor_rejected(self):
         sessions = make_sessions(SEQUENCES)

@@ -1,9 +1,9 @@
 """Unit tests for the compiled prediction-table kernel.
 
-The differential suites prove the compiled dispatch agrees with every
-other prediction path over whole synthetic corpora; this file pins the
-table itself on a hand-built store where every row and probability can
-be checked against numbers computed by inspection.
+The differential suites prove the table's row cuts agree with the
+node-forest oracle over whole synthetic corpora; this file pins the table
+itself on a hand-built store where every row, cut and probability can be
+checked against numbers computed by inspection.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.core.popularity import PopularityTable
 from repro.kernel import predict_table as predict_table_module
 from repro.kernel.compact import CompactTrie
 from repro.kernel.predict_table import compile_predict_table
-from repro.kernel.prune import prune_compact_by_absolute_count
 from repro.kernel.symbols import SymbolTable
 
 from tests.helpers import make_sessions
@@ -49,18 +48,18 @@ def build_store() -> tuple[CompactTrie, SymbolTable]:
     return store, symbols
 
 
-def compile_built(**overrides):
+def compile_built():
     store, symbols = build_store()
-    table = compile_predict_table(store, symbols, **overrides)
-    assert table is not None
-    return store, symbols, table
+    return store, symbols, compile_predict_table(store, symbols)
 
 
 class TestCompile:
     def test_rows_hold_qualifying_children_sorted(self):
-        store, symbols, table = compile_built(threshold=0.25)
+        store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
-        predictions, children = table.context_row(root_a, 1, symbols.url)
+        predictions, children = table.context_row(
+            root_a, 1, THRESHOLD, symbols.url
+        )
         assert [(p.url, p.probability) for p in predictions] == [
             ("B", 0.75),
             ("C", 0.25),
@@ -73,56 +72,61 @@ class TestCompile:
         ]
 
     def test_probability_ties_break_by_url(self):
-        store, symbols, table = compile_built(threshold=0.25)
+        store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
         node_b = store.child(root_a, symbols.get("B"))
-        predictions, _children = table.context_row(node_b, 2, symbols.url)
+        predictions, _children = table.context_row(
+            node_b, 2, THRESHOLD, symbols.url
+        )
         assert [(p.url, p.probability) for p in predictions] == [
             ("X", 0.5),
             ("Y", 0.5),
         ]
 
-    def test_below_threshold_children_are_dropped_at_compile_time(self):
-        store, symbols, table = compile_built(threshold=0.5)
+    def test_below_threshold_children_are_cut_from_the_row(self):
+        store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
-        predictions, _children = table.context_row(root_a, 1, symbols.url)
-        # At 0.5 only B (0.75) survives; C (0.25) was filtered when the
-        # row was built, not at request time.
-        assert [p.url for p in predictions] == ["B"]
+        node_b = store.child(root_a, symbols.get("B"))
+
+        def cut(idx, order, threshold):
+            predictions, _children = table.context_row(
+                idx, order, threshold, symbols.url
+            )
+            return [p.url for p in predictions]
+
+        # The row holds B (0.75) and C (0.25): a threshold keeps the
+        # leading entries that clear it, an exact 0.25 included.
+        assert cut(root_a, 1, 0.0) == ["B", "C"]
+        assert cut(root_a, 1, 0.25) == ["B", "C"]
+        assert cut(root_a, 1, 0.5) == ["B"]
+        assert cut(root_a, 1, 0.75) == ["B"]
+        assert cut(root_a, 1, 0.76) == []
+        # A tie cuts as a block: X and Y both sit at 0.5.
+        assert cut(node_b, 2, 0.5) == ["X", "Y"]
+        assert cut(node_b, 2, 0.5 + 1e-9) == []
 
     def test_leaf_rows_are_empty(self):
         store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
         node_c = store.child(root_a, symbols.get("C"))
-        assert table.context_row(node_c, 1, symbols.url) == ((), ())
+        for threshold in (0.0, THRESHOLD):
+            assert table.context_row(node_c, 1, threshold, symbols.url) == ((), ())
 
     def test_rows_are_cached_and_shared(self):
         store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
-        first = table.context_row(root_a, 1, symbols.url)
-        assert table.context_row(root_a, 1, symbols.url) is first
-        # A different order is a different cached row.
-        other = table.context_row(root_a, 3, symbols.url)
+        first = table.context_row(root_a, 1, THRESHOLD, symbols.url)
+        assert table.context_row(root_a, 1, THRESHOLD, symbols.url) is first
+        # A different order is a different row, and replaces the memo.
+        other = table.context_row(root_a, 3, THRESHOLD, symbols.url)
         assert other is not first
         assert [p.order for p in other[0]] == [3, 3]
-
-    def test_covers_only_the_compiled_threshold(self):
-        _store, _symbols, table = compile_built(threshold=0.25)
-        assert table.covers(0.25)
-        assert not table.covers(0.3)
-        assert not table.covers(0.2)
-
-    def test_compile_refuses_non_dense_stores(self):
-        store, symbols = build_store()
-        # Pruning unlinks subtrees but leaves garbage array slots, so the
-        # store is no longer dense and its indices would not survive
-        # densification.
-        prune_compact_by_absolute_count(store, max_count=2)
-        assert len(store.syms) != store.node_count
-        assert compile_predict_table(store, symbols) is None
-        # The dense copy compiles fine.
-        dense = store.compacted()
-        assert compile_predict_table(dense, symbols) is not None
+        # So does a different threshold: one memoised cut per node.
+        higher = table.context_row(root_a, 3, 0.5, symbols.url)
+        assert [p.url for p in higher[0]] == ["B"]
+        assert len(table._row_cache) == 1
+        again = table.context_row(root_a, 3, THRESHOLD, symbols.url)
+        assert again == other and again is not other
 
     def test_compile_count_tracks_compilations(self):
         store, symbols = build_store()
@@ -149,10 +153,10 @@ class TestSpecialRows:
         node_e = store.child(root_d, symbols.get("E"))
         # Two links to nodes with the same symbol would aggregate; here
         # X (3) and Y (3) aggregate separately, E (1) lands on 1/8 and
-        # must be dropped by a 0.2 special threshold.
+        # must be cut by a 0.2 special threshold.
         store.special_links[root_a] = [node_x, node_y, node_e]
-        table = compile_predict_table(store, symbols, special_threshold=0.2)
-        predictions, groups = table.special_row(root_a, symbols.url)
+        table = compile_predict_table(store, symbols)
+        predictions, groups = table.special_row(root_a, 0.2, symbols.url)
         assert [(p.url, p.probability) for p in predictions] == [
             ("X", 3 / 8),
             ("Y", 3 / 8),
@@ -161,6 +165,11 @@ class TestSpecialRows:
         assert all(p.order == 0 for p in predictions)
         # Parallel linked-node groups feed usage marking.
         assert groups == ((node_x,), (node_y,))
+        # The row holds E too; a lower threshold keeps it.
+        predictions, groups = table.special_row(root_a, 0.1, symbols.url)
+        assert [p.url for p in predictions] == ["X", "Y", "E"]
+        assert groups == ((node_x,), (node_y,), (node_e,))
+        assert table.special_row(root_a, 0.4, symbols.url) == ((), ())
 
     def test_duplicate_linked_symbols_aggregate_into_one_row(self):
         store = CompactTrie()
@@ -172,8 +181,8 @@ class TestSpecialRows:
         s_under_r = store.child(root_r, symbols.get("S"))
         s_under_q = store.child(root_q, symbols.get("S"))
         store.special_links[root_r] = [s_under_r, s_under_q]
-        table = compile_predict_table(store, symbols, special_threshold=0.05)
-        predictions, groups = table.special_row(root_r, symbols.url)
+        table = compile_predict_table(store, symbols)
+        predictions, groups = table.special_row(root_r, 0.05, symbols.url)
         # (4 + 2) / 4 clamps to 1.0, one row, both nodes in its group.
         assert [(p.url, p.probability) for p in predictions] == [("S", 1.0)]
         assert groups == ((s_under_r, s_under_q),)
@@ -181,7 +190,7 @@ class TestSpecialRows:
     def test_roots_without_links_have_empty_rows(self):
         store, symbols, table = compile_built()
         root_d = store.roots[symbols.get("D")]
-        assert table.special_row(root_d, symbols.url) == ((), ())
+        assert table.special_row(root_d, 0.0, symbols.url) == ((), ())
 
 
 DISPATCH_SEQUENCES = [
@@ -218,19 +227,19 @@ class TestModelDispatch:
         assert predict_table_module.COMPILE_COUNT == compiles + 1
         assert {p.url for p in after} >= {"F"}
 
-    def test_uncovered_thresholds_fall_back_to_the_trie_walk(self, fitted):
+    def test_off_default_thresholds_cut_the_same_table(self, fitted):
         compiles = predict_table_module.COMPILE_COUNT
-        via_table = fitted.predict(
-            ("A",), threshold=THRESHOLD, mark_used=False
-        )
-        odd_threshold = THRESHOLD + 0.07
-        fallback = fitted.predict(
-            ("A",), threshold=odd_threshold, mark_used=False
-        )
-        assert not fitted._compiled_table().covers(odd_threshold)
         oracle = OracleModel(fitted, make_sessions(DISPATCH_SEQUENCES))
-        for threshold, got in ((THRESHOLD, via_table), (odd_threshold, fallback)):
-            assert got == oracle.predict(("A",), threshold=threshold, mark_used=False)
-        assert {p.url for p in via_table} >= {p.url for p in fallback}
-        # The off-threshold query must not have triggered a recompile.
+        got = {}
+        for threshold in (THRESHOLD, THRESHOLD + 0.07, 0.0, 0.5, 1.0):
+            got[threshold] = fitted.predict(
+                ("A",), threshold=threshold, mark_used=False
+            )
+            assert got[threshold] == oracle.predict(
+                ("A",), threshold=threshold, mark_used=False
+            )
+        assert {p.url for p in got[THRESHOLD]} >= {
+            p.url for p in got[THRESHOLD + 0.07]
+        }
+        # Every threshold cuts the one table: a single compile.
         assert predict_table_module.COMPILE_COUNT == compiles + 1

@@ -3,7 +3,7 @@
 The library keeps one implementation per layer: models build straight
 into the array-backed :class:`~repro.kernel.compact.CompactTrie` (in bulk,
 through :mod:`repro.kernel.bulk`), prune it with :mod:`repro.kernel.prune`
-and predict through a compiled table or the compact walk.  This module
+and predict by cutting the rows of one compiled table.  This module
 keeps the other side of every equivalence claim, written as literally as
 the paper states it, over one :class:`~repro.core.node.TrieNode` object
 per URL:
@@ -15,10 +15,12 @@ per URL:
 * longest-match prediction (Section 4.1) and PB-PPM's merged multi-level
   prediction plus special links;
 * the predict-table compile with one Python ``sorted`` per context row,
-  and the Figure 2 path count as a stack walk from every root, both over
-  the compact store — the references for the vectorised
-  :func:`~repro.kernel.predict_table.compile_predict_table` and
-  :meth:`~repro.kernel.compact.CompactTrie.path_stats`;
+  filtered at a threshold, and the Figure 2 path count as a stack walk
+  from every root, both over the compact store — the references for the
+  vectorised :func:`~repro.kernel.predict_table.compile_predict_table`
+  (and its row cuts) and :meth:`~repro.kernel.compact.CompactTrie.path_stats`;
+* :func:`predict_pb_store_walk`, PB-PPM's per-request walk over the
+  compact store, the reference arm of ``benchmarks/bench_predict.py``;
 * :class:`ReferenceTrace`, the trace derivations of
   :class:`~repro.trace.dataset.Trace` (filter, sort, embedded-object fold,
   sessionisation, day split, per-URL and per-client tables) computed one
@@ -492,25 +494,25 @@ def compile_predict_table(
     *,
     threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
     special_threshold: float = params.SPECIAL_LINK_THRESHOLD,
-) -> PredictTable | None:
+) -> PredictTable:
     """The compile with one Python ``sorted`` per context row.
 
-    Every row is ordered by ``(-probability, url_of(sym))`` exactly as the
-    uncompiled walk sorts its candidates, so the production compile's
-    lexsort must reproduce these arrays value for value and dtype for
-    dtype.
+    Each row holds the children (special entries) that clear
+    ``threshold`` (``special_threshold``), ordered by
+    ``(-probability, url_of(sym))``.  Compiled at 0.0 and 0.0 it keeps
+    every entry, and the production compile's lexsort must reproduce its
+    arrays value for value and dtype for dtype; compiled at ``t`` and
+    ``t``, each row is what the production row cut at ``t`` must return.
     """
     n = len(store.syms)
-    if n != store.node_count:
-        return None
     url_of = symbols.url
     syms = _as_int64(store.syms)
     counts = _as_int64(store.counts)
     parents = _as_int64(store.parents)
 
     # Context rows: qualifying children grouped per parent.  The
-    # division below is the same int64 / int64 -> float64 the uncompiled
-    # path performs per request, so probabilities are bit-identical.
+    # division below is the same int64 / int64 -> float64 the node-forest
+    # predictors perform per request, so probabilities are bit-identical.
     non_root = parents >= 0
     parent_idx = np.where(non_root, parents, 0)
     parent_counts = counts[parent_idx]
@@ -584,8 +586,6 @@ def compile_predict_table(
     np.cumsum(spc_row_counts, out=spc_offsets[1:])
 
     return PredictTable(
-        threshold=threshold,
-        special_threshold=special_threshold,
         ctx_offsets=ctx_offsets,
         ctx_sym=ctx_sym,
         ctx_prob=ctx_prob,
@@ -596,6 +596,77 @@ def compile_predict_table(
         spl_offsets=np.asarray(spl_offsets_list, dtype=np.int64),
         spl_nodes=np.asarray(spl_nodes_list, dtype=np.int64),
     )
+
+
+def predict_pb_store_walk(
+    model: PopularityBasedPPM,
+    matches: Sequence[tuple[int, int, list[int]]],
+    last_url: str,
+    threshold: float,
+    mark_used: bool,
+) -> list[Prediction]:
+    """PB-PPM's prediction as a per-request walk over a fitted model's store.
+
+    Each matched level, longest first, contributes its children that
+    clear ``threshold``; a URL keeps the prediction of the longest level
+    that produced it.  Then the special links of the current click's root
+    add their per-URL aggregated predictions.  Every count is divided and
+    every candidate sorted per call: the work the compiled table moves to
+    build time, which ``benchmarks/bench_predict.py`` times it against.
+    """
+    store = model._store
+    symbols = model._symbols
+    counts = store.counts
+    used = store.used
+    url_of = symbols.url
+    predictions: dict[str, Prediction] = {}
+    for idx, order, path in matches:
+        total = counts[idx]
+        if total == 0:
+            continue
+        for sym, child in store.iter_children(idx):
+            probability = counts[child] / total
+            url = url_of(sym)
+            if clears_threshold(probability, threshold) and url not in predictions:
+                predictions[url] = Prediction(
+                    url=url, probability=probability, order=order
+                )
+                if mark_used:
+                    for visited in path:
+                        used[visited] = 1
+                    used[child] = 1
+    last_sym = symbols.get(last_url)
+    root = store.roots.get(last_sym) if last_sym is not None else None
+    if root is not None and counts[root] > 0:
+        links = store.special_links.get(root)
+        if links:
+            syms = store.syms
+            aggregated: dict[str, int] = {}
+            for linked in links:
+                url = url_of(syms[linked])
+                aggregated[url] = aggregated.get(url, 0) + counts[linked]
+            fired: set[str] = set()
+            for url in aggregated:
+                probability = min(1.0, aggregated[url] / counts[root])
+                if (
+                    clears_threshold(probability, model.special_link_threshold)
+                    and url not in predictions
+                ):
+                    predictions[url] = Prediction(
+                        url=url,
+                        probability=probability,
+                        order=0,
+                        source="special_link",
+                    )
+                    fired.add(url)
+            if mark_used and fired:
+                used[root] = 1
+                for linked in links:
+                    if url_of(syms[linked]) in fired:
+                        used[linked] = 1
+    result = list(predictions.values())
+    result.sort(key=lambda p: (-p.probability, p.url))
+    return result
 
 
 #: Every array a :class:`~repro.kernel.predict_table.PredictTable` holds.
@@ -612,13 +683,8 @@ TABLE_ARRAYS = (
 )
 
 
-def assert_same_tables(got: PredictTable | None, want: PredictTable | None) -> None:
-    """Both thresholds equal, and all nine arrays in dtype and bit for bit."""
-    assert got is not None and want is not None
-    assert (got.threshold, got.special_threshold) == (
-        want.threshold,
-        want.special_threshold,
-    )
+def assert_same_tables(got: PredictTable, want: PredictTable) -> None:
+    """All nine arrays equal in dtype and bit for bit."""
     for name in TABLE_ARRAYS:
         mine, theirs = getattr(got, name), getattr(want, name)
         assert mine.dtype == theirs.dtype, name
@@ -626,11 +692,7 @@ def assert_same_tables(got: PredictTable | None, want: PredictTable | None) -> N
 
 
 def path_stats(store: CompactTrie) -> tuple[int, int]:
-    """``(leaf paths, used leaf paths)`` by a stack walk from every root.
-
-    Only reachable nodes are visited, so garbage slots left by deletions
-    never count.
-    """
+    """``(leaf paths, used leaf paths)`` by a stack walk from every root."""
     total = 0
     used_total = 0
     first = store.first_child

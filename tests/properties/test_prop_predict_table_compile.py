@@ -1,12 +1,16 @@
-"""Property-based identity of the vectorised compile and path count.
+"""Property-based identity of the vectorised compile, its cuts and path count.
 
 :func:`~repro.kernel.predict_table.compile_predict_table` orders every
 context row with one stable lexsort over (parent, -probability, URL string
-rank), and :meth:`~repro.kernel.compact.CompactTrie.path_stats` counts
-leaves with one mask over a dense store.  ``tests/oracle.py`` keeps the
-per-row ``sorted`` compile and the stack walk they replaced; for arbitrary
-weighted stores both must agree with those references exactly — all
-nine table arrays in value, bit pattern and dtype, and both path counts.
+rank) and filters no entry by threshold; a prediction cuts a row to its
+leading entries that clear the threshold asked.
+:meth:`~repro.kernel.compact.CompactTrie.path_stats` counts leaves with
+one mask over the store.  ``tests/oracle.py`` keeps the per-row ``sorted``
+compile, filtered at a threshold, and the stack walk; for arbitrary
+weighted stores the production table must equal the reference compiled at
+thresholds 0.0 and 0.0 — all nine arrays in value, bit pattern and dtype
+— every row cut at ``t`` must equal the reference row compiled at ``t``,
+and both path counts must agree.
 
 The alphabet is interned in a shuffled order, so symbol ids never follow
 string order, and it mixes case, a non-ASCII URL and a URL with a
@@ -24,8 +28,9 @@ from hypothesis import strategies as st
 
 from repro import params
 from repro.experiments.lab import WorkloadLab
-from repro.kernel.compact import KEY_SHIFT, CompactTrie
+from repro.kernel.compact import CompactTrie
 from repro.kernel.predict_table import compile_predict_table
+from repro.kernel.prune import prune_dense
 from repro.kernel.symbols import SymbolTable
 from repro.workloads import grid
 
@@ -35,7 +40,11 @@ ALPHABET = ("/a", "/A", "/b", "/B", "/a\x00", "/é", "/z/1", "/Z")
 #: Paths draw from the first six URLs; zero-count roots from all eight,
 #: so some are new roots and some already exist.
 PATH_URLS = ALPHABET[:6]
-THRESHOLDS = st.sampled_from([0.0, 0.25, 1 / 3, 1.0])
+EPSILON = params.PROBABILITY_EPSILON
+THRESHOLDS = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.25 - EPSILON / 2, 0.25, 1 / 3, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+)
 
 
 @st.composite
@@ -79,37 +88,69 @@ def stores(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(built=stores(), threshold=THRESHOLDS, special_threshold=THRESHOLDS)
-def test_compile_equals_the_row_sort_reference(
-    built, threshold, special_threshold
-):
+@given(built=stores())
+def test_compile_equals_the_row_sort_reference(built):
     store, symbols = built
-    thresholds = {"threshold": threshold, "special_threshold": special_threshold}
-    want = oracle.compile_predict_table(store, symbols, **thresholds)
-    got = compile_predict_table(store, symbols, **thresholds)
-    oracle.assert_same_tables(got, want)
+    want = oracle.compile_predict_table(
+        store, symbols, threshold=0.0, special_threshold=0.0
+    )
+    oracle.assert_same_tables(compile_predict_table(store, symbols), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(built=stores(), thresholds=st.lists(THRESHOLDS, min_size=1, max_size=3))
+def test_row_cuts_equal_the_reference_compiled_at_the_threshold(
+    built, thresholds
+):
+    """Each threshold in turn, on one table: every context and special
+    row cut at ``t`` equals the reference row compiled at ``t`` and ``t``
+    — predictions, their order, child indices and linked groups."""
+    store, symbols = built
+    url_of = symbols.url
+    table = compile_predict_table(store, symbols)
+    for threshold in thresholds + thresholds[:1]:
+        want = oracle.compile_predict_table(
+            store, symbols, threshold=threshold, special_threshold=threshold
+        )
+        for idx in range(len(store.syms)):
+            lo, hi = want.ctx_offsets[idx : idx + 2].tolist()
+            predictions, children = table.context_row(idx, 2, threshold, url_of)
+            assert [(p.url, p.probability, p.order) for p in predictions] == [
+                (url_of(sym), prob, 2)
+                for sym, prob in zip(
+                    want.ctx_sym[lo:hi].tolist(), want.ctx_prob[lo:hi].tolist()
+                )
+            ]
+            assert list(children) == want.ctx_child[lo:hi].tolist()
+        for root in store.roots.values():
+            lo, hi = want.spc_offsets[root : root + 2].tolist()
+            predictions, groups = table.special_row(root, threshold, url_of)
+            assert [(p.url, p.probability) for p in predictions] == [
+                (url_of(sym), prob)
+                for sym, prob in zip(
+                    want.spc_sym[lo:hi].tolist(), want.spc_prob[lo:hi].tolist()
+                )
+            ]
+            bounds = want.spl_offsets[lo : hi + 1].tolist()
+            assert [list(group) for group in groups] == [
+                want.spl_nodes[start:stop].tolist()
+                for start, stop in zip(bounds, bounds[1:])
+            ]
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     built=stores(),
     used=st.lists(st.integers(0, 99), max_size=8),
-    deletions=st.lists(
-        st.tuples(st.booleans(), st.integers(0, 99)), min_size=1, max_size=4
-    ),
+    cutoff=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
 )
-def test_path_stats_equals_the_walk(built, used, deletions):
+def test_path_stats_equals_the_walk(built, used, cutoff):
     store, _symbols = built
     for pick in used:
         store.used[pick % len(store.syms)] = 1
     assert store.path_stats() == oracle.path_stats(store)
-    for is_root, pick in deletions:
-        if is_root and store.roots:
-            store.delete_root(sorted(store.roots)[pick % len(store.roots)])
-        elif store.children:
-            key = sorted(store.children)[pick % len(store.children)]
-            store.delete_child(key >> KEY_SHIFT, key & ((1 << KEY_SHIFT) - 1))
-        assert store.path_stats() == oracle.path_stats(store)
+    pruned, _removed = prune_dense(store, cutoff=cutoff)
+    assert pruned.path_stats() == oracle.path_stats(pruned)
 
 
 def test_empty_store():
@@ -128,11 +169,7 @@ def test_grid_models_compile_to_reference_tables():
     for key in ("pb", "standard", "lrs"):
         model = grid.build_model(key, popularity, None).fit(sessions)
         want = oracle.compile_predict_table(
-            model._store,
-            model._symbols,
-            special_threshold=getattr(
-                model, "special_link_threshold", params.SPECIAL_LINK_THRESHOLD
-            ),
+            model._store, model._symbols, threshold=0.0, special_threshold=0.0
         )
         oracle.assert_same_tables(model._compiled_table(), want)
         assert model._store.path_stats() == oracle.path_stats(model._store)

@@ -6,7 +6,6 @@ import os
 
 import pytest
 
-from repro import params
 from repro.core.serialize import dump_model, load_model
 from repro.errors import ModelError
 from repro.experiments.lab import WorkloadLab
@@ -48,7 +47,7 @@ class TestRestoredModelsPredictThroughTheTable:
 
     def _assert_restored_like(self, restored, fitted):
         model, sessions = fitted
-        assert restored._table_for(params.PREDICTION_PROBABILITY_THRESHOLD)
+        assert restored._compiled_table().node_count == model.node_count
         replayed = self._replay(restored, sessions)
         assert any(replayed)
         assert replayed == self._replay(model, sessions)

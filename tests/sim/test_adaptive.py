@@ -110,3 +110,59 @@ class TestController:
         result = simulator.run(requests)
         assert result.prefetch_hits == 1
         assert result.hits == 1
+
+
+class TestPinnedRuns:
+    """The controller's runs on a seeded lab, counters and threshold
+    trajectory, pinned to recorded values in both topologies."""
+
+    @pytest.fixture(scope="class")
+    def lab(self):
+        from repro.experiments.lab import WorkloadLab
+
+        return WorkloadLab("nasa-like", total_days=3, seed=7, scale=0.1)
+
+    @staticmethod
+    def _run(lab, key, topology, adjust_every):
+        simulator = AdaptivePrefetchSimulator(
+            lab.model(key, 2),
+            lab.url_sizes,
+            lab.latency(2),
+            lab.config_for(key),
+            popularity=lab.popularity(2),
+            policy=AdaptivePolicy(traffic_budget=0.05, adjust_every=adjust_every),
+        )
+        requests = lab.split(2).test_requests
+        if topology == "client":
+            result = simulator.run(requests, client_kinds=lab.client_kinds)
+        else:
+            result = simulator.run_proxy(
+                requests, clients=tuple(lab.browser_clients())
+            )
+        counters = (
+            result.requests,
+            result.hits,
+            result.predictions_made,
+            result.prefetches_issued,
+            result.prefetch_hits,
+            result.prefetch_bytes,
+        )
+        return counters, simulator.threshold_trajectory
+
+    def test_client_run_rises_to_the_clamp(self, lab):
+        counters, trajectory = self._run(lab, "standard", "client", 25)
+        assert counters == (313, 83, 84, 50, 16, 951505)
+        assert trajectory == [
+            0.3125, 0.390625, 0.48828125, 0.6103515625, 0.762939453125,
+            0.762939453125, 0.95, 0.95, 0.95, 0.95, 0.95, 0.95,
+        ]
+
+    def test_proxy_run_rises_then_falls(self, lab):
+        counters, trajectory = self._run(lab, "pb", "proxy", 10)
+        assert counters == (313, 223, 587, 27, 14, 293954)
+        assert trajectory == [
+            0.3125, 0.390625, 0.48828125, 0.6103515625, 0.762939453125,
+            *[0.95] * 14,
+            0.76, 0.608, 0.4864, 0.38912, 0.311296, 0.2490368, 0.19922944,
+            0.159383552, 0.1275068416, *[0.10200547328000001] * 3,
+        ]

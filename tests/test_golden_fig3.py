@@ -50,10 +50,10 @@ FLOAT_METRICS = (
 FLOAT_RTOL = 1e-6
 
 
-#: Below the compiled threshold by less than the comparison epsilon: no
-#: count ratio can tell the two apart, but no compiled table covers it, so
-#: every prediction takes the uncompiled store walk.
-UNCOVERED_THRESHOLD = (
+#: Below the default threshold by less than the comparison epsilon: no
+#: count ratio can tell the two apart, so every prediction cuts each table
+#: row at a threshold no experiment uses and must land on the same cells.
+OFF_DEFAULT_THRESHOLD = (
     params.PREDICTION_PROBABILITY_THRESHOLD - params.PROBABILITY_EPSILON / 2
 )
 
@@ -112,15 +112,15 @@ def compute_cells(
 
 @pytest.fixture(
     scope="module",
-    params=((False, None), (False, UNCOVERED_THRESHOLD), (True, None)),
+    params=((False, None), (False, OFF_DEFAULT_THRESHOLD), (True, None)),
     ids=("columnar-compiled", "columnar-uncompiled", "object-compiled"),
 )
 def cells(request) -> dict[str, dict[str, float | int]]:
     """Golden cells computed three ways.
 
     ``columnar-compiled`` is the lab exactly as the experiments run it;
-    ``columnar-uncompiled`` predicts through the uncompiled store walk
-    instead of the compiled table; ``object-compiled`` trains and replays
+    ``columnar-uncompiled`` predicts at :data:`OFF_DEFAULT_THRESHOLD`
+    instead of the default; ``object-compiled`` trains and replays
     on splits derived by the per-record reference trace functions instead
     of the columnar plane.  All three must land on the same committed
     numbers.
