@@ -17,8 +17,14 @@ threshold) — and records the ratios in
   the largest model: the per-row ``sorted`` reference compile of
   ``tests/oracle.py`` (at thresholds 0.0, which keep every entry) versus
   the lexsort of ``compile_predict_table``.
+* ``engine_replay`` — a whole client-mode replay of the lab's PB cell:
+  ``tests/oracle.py``'s ``ReferenceSimulator`` (every cache keyed by URL,
+  one ``predict_cursor`` and one list of ``Prediction`` objects per
+  click) versus ``PrefetchSimulator.run`` (one integer key space per
+  run, one-node contexts, per-node cuts).
 
-Totals (for ``compile``, every table array) are asserted identical
+Totals (for ``compile``, every table array; for ``engine_replay``, every
+counter, float sum and the path utilisation) are asserted identical
 between the two arms before any ratio is trusted.  In-test floors are
 CI-safe; the committed artifact records the real numbers and
 ``python benchmarks/harness.py check predict`` gates the ratios against
@@ -33,6 +39,7 @@ from repro import params
 from repro.experiments import get_lab
 from repro.experiments.lab import bench_scale
 from repro.kernel.predict_table import compile_predict_table
+from repro.sim.engine import PrefetchSimulator
 
 THRESHOLD = params.PREDICTION_PROBABILITY_THRESHOLD
 
@@ -49,20 +56,20 @@ def _best_of(fn, rounds: int = 7):
     return best, result
 
 
-def _ab(walk, table):
-    """Time the uncompiled walk, then the compiled table; returns both.
+def _ab(reference, production):
+    """Time the reference arm, then the production arm; returns both.
 
-    Each arm gets one untimed warmup pass first, so the compiled side's
+    Each arm gets one untimed warmup pass first, so the production side's
     one-off table compilation (a build-time cost in production: the
     supervisor compiles once per publish) never pollutes the
     steady-state timing.
     """
-    walk()
-    off_seconds, off_total = _best_of(walk)
-    table()
-    on_seconds, on_total = _best_of(table)
+    reference()
+    off_seconds, off_total = _best_of(reference)
+    production()
+    on_seconds, on_total = _best_of(production)
     assert on_total == off_total, (
-        f"compiled path diverged: {on_total} != {off_total}"
+        f"production path diverged: {on_total} != {off_total}"
     )
     return off_seconds, on_seconds, on_total
 
@@ -193,3 +200,51 @@ def test_compile_speedup():
         f"compiled {compiled_seconds:.5f}s speedup {speedup:.2f}x"
     )
     assert speedup >= (4.0 if bench_scale() >= 1.0 else 2.0)
+
+
+def test_engine_replay_speedup():
+    """The lab's PB cell, replayed by the URL-keyed reference loop and by
+    the engine's integer-keyed loop."""
+    from tests import oracle
+
+    lab = get_lab("nasa-like", 6)
+    model = lab.model("pb", 5)
+    requests = lab.split(5).test_requests
+
+    def replay(simulator_class):
+        def run():
+            result = simulator_class(
+                model,
+                lab.url_sizes,
+                lab.latency(5),
+                lab.config_for("pb"),
+                popularity=lab.popularity(5),
+            ).run(requests, client_kinds=lab.client_kinds)
+            counters = dict(vars(result))
+            del counters["labels"], counters["latencies"]
+            del counters["shadow_latencies"]
+            return counters
+
+        return run
+
+    reference_seconds, engine_seconds, counters = _ab(
+        replay(oracle.ReferenceSimulator), replay(PrefetchSimulator)
+    )
+    assert counters["prefetch_hits"] > 0
+    speedup = reference_seconds / engine_seconds
+    update_results(
+        "predict",
+        "engine_replay",
+        {
+            "requests": counters["requests"],
+            "reference_seconds": round(reference_seconds, 4),
+            "engine_seconds": round(engine_seconds, 4),
+            "speedup": round(speedup, 2),
+        },
+        scale=bench_scale(),
+    )
+    print(
+        f"engine replay: reference {reference_seconds:.4f}s "
+        f"engine {engine_seconds:.4f}s speedup {speedup:.2f}x"
+    )
+    assert speedup >= (1.5 if bench_scale() >= 1.0 else 1.2)

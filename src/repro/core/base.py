@@ -27,11 +27,10 @@ from repro.core.prediction import (
     Prediction,
     PredictionCursor,
     compact_suffix_matches,
-    predict_from_table_matches,
 )
 from repro.errors import NotFittedError
 from repro.kernel.bulk import SessionCorpus
-from repro.kernel.compact import KEY_SHIFT, CompactTrie
+from repro.kernel.compact import CompactTrie
 from repro.kernel.prune import prune_dense
 from repro.kernel.symbols import SymbolTable
 from repro.trace.columnar import session_url_ids
@@ -124,6 +123,33 @@ class PPMModel(ABC):
             self._table_mutations = self._mutations
         return self._table
 
+    def node_predictor(self, *, escape: bool = False):
+        """This model's per-node prediction step over the current table.
+
+        ``step(node, threshold)`` returns the
+        :class:`~repro.kernel.predict_table.NodeCut` a context whose
+        longest match is ``node`` (-1 for none) predicts at
+        ``threshold``, memoised per node for the last threshold asked.
+        The paper's baselines predict the longest match's row;
+        ``escape`` enables compression-style PPM fallback to shorter
+        matches (an ablation; the paper's models leave it off).  A step
+        belongs to one store generation: ask again after a mutation.
+        """
+        table = self._compiled_table()
+        return table.predictor(
+            ("longest", escape),
+            lambda node, threshold: table.longest_cut(node, threshold, escape),
+        )
+
+    def _predict_node(
+        self, node: int, threshold: float, mark_used: bool, escape: bool
+    ) -> list[Prediction]:
+        """The API edge of the per-node step: mark usage, build objects."""
+        cut = self.node_predictor(escape=escape)(node, threshold)
+        if mark_used:
+            self._compiled_table().mark(cut, self._store.used)
+        return list(cut.predictions(self._symbols.url))
+
     def predict(
         self,
         context: Sequence[str],
@@ -134,25 +160,16 @@ class PPMModel(ABC):
     ) -> list[Prediction]:
         """Predict the next accesses given the session's URLs so far.
 
-        Matches every suffix of ``context`` against the store, then runs
-        the one table step,
-        :func:`~repro.core.prediction.predict_from_table_matches`, at any
-        ``threshold``.  ``escape`` enables compression-style PPM fallback
-        to shorter contexts (an ablation; the paper's models leave it
-        off).
+        Finds the longest suffix of ``context`` that is a root path of
+        the store, then runs the model's one per-node step
+        (:meth:`node_predictor`) there at any ``threshold``.
+        ``escape`` enables compression-style PPM fallback to shorter
+        contexts (an ablation; the paper's models leave it off).
         """
         self._require_fitted()
-        if not context:
-            return []
-        return predict_from_table_matches(
-            self._store,
-            self._compiled_table(),
-            self._symbols,
-            compact_suffix_matches(self._store, self._symbols, context),
-            threshold=threshold,
-            mark_used=mark_used,
-            escape=escape,
-        )
+        matches = compact_suffix_matches(self._store, self._symbols, context)
+        node = matches[0][0] if matches else -1
+        return self._predict_node(node, threshold, mark_used, escape)
 
     # -- incremental prediction ------------------------------------------------
 
@@ -163,32 +180,6 @@ class PPMModel(ABC):
         self._require_fitted()
         return PredictionCursor(self, max_length)
 
-    def _match_states(self, context: Sequence[str]) -> list:
-        """Batch suffix-match states for a cursor resync."""
-        return [
-            (idx, path)
-            for idx, _order, path in compact_suffix_matches(
-                self._store, self._symbols, context
-            )
-        ]
-
-    def _advance_states(self, states: list, url: str) -> list:
-        """Extend each suffix-match state by one click (cursor hot path)."""
-        store = self._store
-        sym = self._symbols.get(url)
-        if sym is None:
-            return []
-        children = store.children
-        advanced = []
-        for handle, path in states:
-            child = children.get((handle << KEY_SHIFT) | sym)
-            if child is not None:
-                advanced.append((child, path + [child]))
-        root = store.roots.get(sym)
-        if root is not None:
-            advanced.append((root, [root]))
-        return advanced
-
     def predict_cursor(
         self,
         cursor: PredictionCursor,
@@ -197,24 +188,16 @@ class PPMModel(ABC):
         mark_used: bool = True,
         escape: bool = False,
     ) -> list[Prediction]:
-        """Predict from a cursor's maintained suffix matches.
+        """Predict from a cursor's longest match.
 
-        Equivalent to ``predict(cursor.context)`` — the same table step,
-        same predictions, same usage marking — but O(active matches) per
-        click instead of rematching the full context.
+        Equivalent to ``predict(cursor.context)`` — the same per-node
+        step, same predictions, same usage marking — without rematching
+        the context.
         """
         self._require_fitted()
         if cursor.model is not self:
             raise ValueError("cursor belongs to a different model")
-        return predict_from_table_matches(
-            self._store,
-            self._compiled_table(),
-            self._symbols,
-            cursor.matches(),
-            threshold=threshold,
-            mark_used=mark_used,
-            escape=escape,
-        )
+        return self._predict_node(cursor.node, threshold, mark_used, escape)
 
     # -- tree access and statistics ------------------------------------------
 

@@ -14,13 +14,11 @@ position PB-PPM against them:
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro import params
 from repro.core.base import PPMModel
 from repro.core.popularity import PopularityTable
-from repro.core.prediction import Prediction, PredictionCursor, clears_threshold
+from repro.core.prediction import clears_threshold
 from repro.kernel.bulk import SessionCorpus, build_ngram_trie
+from repro.kernel.predict_table import NO_NODE, NodeCut
 from repro.kernel.symbols import SymbolTable
 from repro.trace.columnar import first_seen_counts
 
@@ -72,41 +70,31 @@ class TopNPush(PPMModel):
         for url, _ in self._push_set:
             self.insert_path((url,), weight=table.count(url))
 
-    def predict(
-        self,
-        context: Sequence[str],
-        *,
-        threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-        mark_used: bool = True,
-        escape: bool = False,
-    ) -> list[Prediction]:
-        self._require_fitted()
-        predictions = [
-            Prediction(url=url, probability=rp, order=0, source="top_n")
-            for url, rp in self._push_set
-            if clears_threshold(rp, threshold)
-            and (not context or url != context[-1])
-        ]
-        if mark_used:
-            self.mark_used_paths([(prediction.url,) for prediction in predictions])
-        predictions.sort(key=lambda p: (-p.probability, p.url))
-        return predictions
+    def node_predictor(self, *, escape: bool = False):
+        """The push set, cut at the threshold, minus the current click.
 
-    def predict_cursor(
-        self,
-        cursor: PredictionCursor,
-        *,
-        threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-        mark_used: bool = True,
-        escape: bool = False,
-    ) -> list[Prediction]:
-        """:meth:`predict` on the cursor's last click, all the push needs."""
-        self._require_fitted()
-        if cursor.model is not self:
-            raise ValueError("cursor belongs to a different model")
-        last_url = cursor.last_url
-        return self.predict(
-            () if last_url is None else (last_url,),
-            threshold=threshold,
-            mark_used=mark_used,
+        The store holds the push set as roots, so a context's longest
+        match is the current click's root when that click is in the set
+        (and is then left out of the push), and -1 otherwise.
+        """
+        del escape
+        return self._compiled_table().predictor("top_n", self._push_cut)
+
+    def _push_cut(self, node: int, threshold: float) -> NodeCut:
+        store = self._store
+        symbol_of = self._symbols.get
+        current = store.syms[node] if node != NO_NODE else None
+        entries = sorted(
+            (-rp, url, symbol_of(url), rp)
+            for url, rp in self._push_set
+            if clears_threshold(rp, threshold) and symbol_of(url) != current
+        )
+        count = len(entries)
+        return NodeCut(
+            threshold,
+            tuple(entry[2] for entry in entries),
+            tuple(entry[3] for entry in entries),
+            (0,) * count,
+            ("top_n",) * count,
+            nodes=tuple(store.roots[entry[2]] for entry in entries),
         )

@@ -35,11 +35,7 @@ from typing import Sequence
 from repro import params
 from repro.core.base import PPMModel
 from repro.core.popularity import PopularityTable
-from repro.core.prediction import (
-    Prediction,
-    PredictionCursor,
-    compact_suffix_matches,
-)
+from repro.core.prediction import Prediction, PredictionCursor
 from repro.kernel.bulk import SessionCorpus, build_branch_trie, symbol_grades
 from repro.kernel.prune import prune_dense
 from repro.trace.sessions import Session
@@ -198,14 +194,7 @@ class PopularityBasedPPM(PPMModel):
 
     # -- prediction ----------------------------------------------------------
 
-    def predict(
-        self,
-        context: Sequence[str],
-        *,
-        threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-        mark_used: bool = True,
-        escape: bool = False,
-    ) -> list[Prediction]:
+    def node_predictor(self, *, escape: bool = False):
         """Context predictions merged across suffix levels, plus special links.
 
         Section 4.1: the baselines use the plain longest matching method;
@@ -215,7 +204,9 @@ class PopularityBasedPPM(PPMModel):
         matching context suffix, from the longest down to the current click
         alone (the current click is a root whenever it ever headed a
         branch), and adds the special-link predictions for the duplicated
-        popular nodes reachable from that root.
+        popular nodes reachable from that root.  Every level is a suffix
+        of the longest match's path, so the step is still a function of
+        that one node (:meth:`~repro.kernel.predict_table.PredictTable.merged_cut`).
 
         A popular URL may be duplicated in several sub-branches of the
         root, each duplicate linked separately; the prediction for that URL
@@ -226,15 +217,12 @@ class PopularityBasedPPM(PPMModel):
         ``escape`` is accepted for interface compatibility and ignored:
         the merged multi-level strategy already subsumes PPM escape.
         """
-        self._require_fitted()
         del escape
-        if not context:
-            return []
-        return self._predict_table(
-            compact_suffix_matches(self._store, self._symbols, context),
-            context[-1],
-            threshold,
-            mark_used,
+        table = self._compiled_table()
+        special = self.special_link_threshold
+        return table.predictor(
+            ("merged", special),
+            lambda node, threshold: table.merged_cut(node, threshold, special),
         )
 
     def predict_cursor(
@@ -245,68 +233,10 @@ class PopularityBasedPPM(PPMModel):
         mark_used: bool = True,
         escape: bool = False,
     ) -> list[Prediction]:
-        """Incremental twin of :meth:`predict` over a cursor's matches.
-
-        The cursor maintains exactly the suffix matches the batch path
-        computes, and the special-link step only needs the current click
-        (``cursor.last_url``), so the merged multi-level prediction is
-        reproduced without rematching the context.
-        """
-        self._require_fitted()
-        del escape
-        if cursor.model is not self:
-            raise ValueError("cursor belongs to a different model")
-        last_url = cursor.last_url
-        if last_url is None:
-            return []
-        return self._predict_table(cursor.matches(), last_url, threshold, mark_used)
-
-    def _predict_table(
-        self,
-        matches: "Sequence[tuple[int, int, list[int]]]",
-        last_url: str,
-        threshold: float,
-        mark_used: bool,
-    ) -> list[Prediction]:
-        """The merged prediction step over the compiled table.
-
-        Each matched level, longest first, contributes its row cut at
-        ``threshold``; a URL keeps the prediction of the longest level
-        that produced it.  Then the current click's root adds its special
-        row cut at :attr:`special_link_threshold`.  Only the matched path
-        of a level that contributed, the contributed children, and (when a
-        special entry fires) the root and its linked nodes are marked.
-        """
-        store = self._store
-        table = self._compiled_table()
-        used = store.used
-        url_of = self._symbols.url
-        predictions: dict[str, Prediction] = {}
-        for idx, order, path in matches:
-            row, children = table.context_row(idx, order, threshold, url_of)
-            path_marked = False
-            for prediction, child in zip(row, children):
-                if prediction.url not in predictions:
-                    predictions[prediction.url] = prediction
-                    if mark_used:
-                        if not path_marked:
-                            for visited in path:
-                                used[visited] = 1
-                            path_marked = True
-                        used[child] = 1
-        last_sym = self._symbols.get(last_url)
-        root = store.roots.get(last_sym) if last_sym is not None else None
-        if root is not None:
-            row, groups = table.special_row(
-                root, self.special_link_threshold, url_of
-            )
-            for prediction, group in zip(row, groups):
-                if prediction.url not in predictions:
-                    predictions[prediction.url] = prediction
-                    if mark_used:
-                        used[root] = 1
-                        for linked in group:
-                            used[linked] = 1
-        result = list(predictions.values())
-        result.sort(key=lambda p: (-p.probability, p.url))
-        return result
+        """The merged prediction (:meth:`node_predictor`) at a cursor's
+        longest match; ``escape`` is ignored.  Kept on the class so
+        tracing tools that wrap ``PopularityBasedPPM.predict_cursor`` by
+        name find it."""
+        return super().predict_cursor(
+            cursor, threshold=threshold, mark_used=mark_used, escape=escape
+        )

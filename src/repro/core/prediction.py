@@ -9,17 +9,20 @@ probability clears the threshold (0.25 in all the paper's experiments).
 
 PB-PPM adds *special-link* predictions on top: when the current click is a
 root, the duplicated popular nodes linked from that root are predicted as
-well (:meth:`repro.core.pb.PopularityBasedPPM.predict` wires this in).
+well (:meth:`repro.core.pb.PopularityBasedPPM.node_predictor` wires this
+in).
 
 Every model stores its tree in one array-backed
-:class:`~repro.kernel.compact.CompactTrie` and predicts through one step
-over it: :func:`predict_from_table_matches` cuts the matched node's row
-of the store's compiled :class:`~repro.kernel.predict_table.PredictTable`
-at the requested threshold, whatever the threshold.
-:class:`PredictionCursor` supplies the matches incrementally: instead of
-rematching the full context on every click, it carries the previous
-click's suffix-match states forward and extends each by one URL, which is
-what the replay engine and the serving tracker use per request.
+:class:`~repro.kernel.compact.CompactTrie` and predicts through one
+per-node step over its compiled
+:class:`~repro.kernel.predict_table.PredictTable`: every suffix match of
+a context is a suffix of the longest one, so the longest match's node
+determines every model's prediction, at any threshold.
+:class:`PredictionCursor` supplies that node incrementally: instead of
+rematching the full context on every click, it follows one memoised
+``(node, symbol) -> node`` transition per click, which is what the
+serving tracker uses per request (the replay engine steps the same
+transitions on integer keys).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from repro.kernel.compact import KEY_SHIFT as _KEY_SHIFT
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.compact import CompactTrie
-    from repro.kernel.predict_table import PredictTable
     from repro.kernel.symbols import SymbolTable
 
 
@@ -126,76 +128,35 @@ def compact_suffix_matches(
 
 
 # --------------------------------------------------------------------------
-# Compiled-table prediction
-# --------------------------------------------------------------------------
-
-
-def predict_from_table_matches(
-    store: "CompactTrie",
-    table: "PredictTable",
-    symbols: "SymbolTable",
-    matches: "Sequence[tuple[int, int, list[int]]]",
-    *,
-    threshold: float = params.PREDICTION_PROBABILITY_THRESHOLD,
-    mark_used: bool = True,
-    escape: bool = False,
-) -> list[Prediction]:
-    """Longest-match prediction step over suffix matches (longest first).
-
-    The longest matched context predicts its children whose conditional
-    probability clears ``threshold``: its table row cut at ``threshold``,
-    already sorted by descending probability, ties by URL.  The matched
-    path and the predicted children are marked used (Figure 2's
-    utilisation input).  An empty cut covers both a zero-count context and
-    one with no qualifying child; with ``escape`` it falls back to the
-    next-shorter match — compression-style PPM escape, offered as an
-    ablation; the paper's models leave it off.
-    """
-    used = store.used
-    url_of = symbols.url
-    for idx, order, path in matches:
-        predictions, children = table.context_row(idx, order, threshold, url_of)
-        if not predictions:
-            if escape:
-                continue
-            return []
-        if mark_used:
-            for visited in path:
-                used[visited] = 1
-            for child in children:
-                used[child] = 1
-        return list(predictions)
-    return []
-
-
-# --------------------------------------------------------------------------
 # Incremental suffix matching
 # --------------------------------------------------------------------------
 
 
 class PredictionCursor:
-    """Per-client incremental suffix-match state.
+    """Per-client incremental suffix-match state: one node.
 
-    A cursor follows one client's click stream and maintains, after every
-    :meth:`advance`, exactly the suffix-match states a batch
-    :func:`compact_suffix_matches` would compute on the trimmed context —
-    longest first — but derives them from the previous click's states in
-    O(active matches) instead of rematching the whole context in O(L²)
-    child lookups.  The correspondence is exact because a full suffix
-    match of ``context + [url]`` is either a match of ``context`` extended
-    by ``url`` or the single-click suffix ``[url]`` itself.
+    A cursor follows one client's click stream and holds, after every
+    :meth:`advance`, the longest suffix match of the trimmed context (the
+    last ``max_length`` clicks) as one node index of the model's store,
+    or -1 when no suffix matches.  Every shorter match is a suffix of
+    that node's path (its suffix-link chain), so :meth:`matches` equals
+    what a batch :func:`compact_suffix_matches` computes on
+    :attr:`context`.  An advance is one memoised
+    ``(node, symbol) -> node`` transition of the model's compiled table.
 
     Staleness: the owning model bumps an internal mutation counter on
-    every structural change (refit, online update, pruning).  The cursor
-    snapshots the counter and transparently falls back to one batch
-    rematch when it no longer agrees, so online updates mid-replay can
-    never leave it pointing at stale or deleted state.  Session boundaries are handled by :meth:`reset`.
+    every structural change (refit, online update, pruning), which also
+    hands predictions a freshly compiled table.  The cursor snapshots the
+    counter and transparently resyncs — one batch longest match of its
+    trimmed URL list — when it no longer agrees, so online updates
+    mid-replay can never leave it pointing at stale or deleted state.
+    Session boundaries are handled by :meth:`reset`.
 
     Obtain cursors via :meth:`repro.core.base.PPMModel.prediction_cursor`
     and predict through :meth:`repro.core.base.PPMModel.predict_cursor`.
     """
 
-    __slots__ = ("_model", "_max_length", "_urls", "_states", "_seen")
+    __slots__ = ("_model", "_max_length", "_urls", "_node", "_seen")
 
     def __init__(self, model, max_length: int) -> None:
         if max_length < 1:
@@ -203,10 +164,9 @@ class PredictionCursor:
         self._model = model
         self._max_length = max_length
         self._urls: list[str] = []
-        # Each state is (index, index path) into the model's store, kept
-        # in decreasing suffix-length order like compact_suffix_matches.
-        self._states: list[tuple[object, list]] = []
-        self._seen = model._mutations
+        self._node = -1
+        # No store generation seen yet: the first use resyncs.
+        self._seen: int | None = None
 
     @property
     def model(self):
@@ -218,7 +178,7 @@ class PredictionCursor:
 
     @property
     def context(self) -> tuple[str, ...]:
-        """The trimmed click context the current states correspond to."""
+        """The trimmed click context the current node corresponds to."""
         return tuple(self._urls)
 
     @property
@@ -226,46 +186,65 @@ class PredictionCursor:
         """The most recent click, or None right after a reset."""
         return self._urls[-1] if self._urls else None
 
+    @property
+    def node(self) -> int:
+        """The longest suffix match of :attr:`context` (-1 for none)."""
+        if self._seen != self._model._mutations:
+            self._resync()
+        return self._node
+
     def reset(self) -> None:
         """Forget the context — call at session boundaries."""
         self._urls.clear()
-        self._states.clear()
+        self._node = -1
 
     def _resync(self) -> None:
-        self._states = self._model._match_states(self._urls)
-        self._seen = self._model._mutations
+        model = self._model
+        matches = compact_suffix_matches(model._store, model._symbols, self._urls)
+        self._node = matches[0][0] if matches else -1
+        self._seen = model._mutations
 
     def advance(self, url: str) -> None:
-        """Extend the context by one click, updating the match states."""
+        """Extend the context by one click, moving to its longest match.
+
+        The cursor keeps no table of its own: each advance steps the
+        model's current one, so a cursor never holds an old store
+        generation's table (and its memos) alive.
+        """
         urls = self._urls
         urls.append(url)
         overflow = len(urls) - self._max_length
         if overflow > 0:
             del urls[:overflow]
-        if self._seen != self._model._mutations:
+        model = self._model
+        if self._seen != model._mutations:
             self._resync()
             return
-        self._states = self._model._advance_states(self._states, url)
-        if overflow > 0 and self._states:
-            # Trimming dropped the oldest click; a state that matched the
-            # full pre-trim context is now longer than the context itself
-            # and must go.  Suffix lengths are unique, so at most the
-            # first (longest) state is affected.
-            limit = len(urls)
-            if len(self._states[0][1]) > limit:
-                del self._states[0]
+        sym = model._symbols.get(url)
+        if sym is None:
+            self._node = -1
+            return
+        table = model._compiled_table()
+        node = self._node
+        nxt = table.transitions(self._max_length).get(((node + 1) << _KEY_SHIFT) | sym)
+        if nxt is None:
+            nxt = table.transition(node, sym, self._max_length)
+        self._node = nxt
 
     def matches(self) -> list:
-        """Current suffix matches as ``(handle, order, path)``, longest first.
+        """Current suffix matches as ``(node, order, path)``, longest first.
 
-        Same shape as :func:`compact_suffix_matches` on :attr:`context`.
+        Same shape and value as :func:`compact_suffix_matches` on
+        :attr:`context`: the node's suffix-link chain, each with its
+        depth and root path.
         """
-        if self._seen != self._model._mutations:
-            self._resync()
-        return [(handle, len(path), path) for handle, path in self._states]
+        node = self.node
+        table = self._model._compiled_table()
+        return [
+            (idx, table.depth(idx), table.path(idx)) for idx in table.chain(node)
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return (
-            f"PredictionCursor(context={len(self._urls)}, "
-            f"states={len(self._states)})"
+            f"PredictionCursor(context={len(self._urls)}, node={self._node})"
         )

@@ -301,8 +301,8 @@ class WorkloadLab:
 
 class _EscapeWrapper:
     """Delegate that forces the ``escape`` flag on every prediction,
-    through both entry points: the batch ``predict`` and the cursor's
-    ``predict_cursor`` the replay engine calls."""
+    through every entry point: the batch ``predict``, the cursor's
+    ``predict_cursor`` and the per-node step the replay engine calls."""
 
     def __init__(self, model: PPMModel, escape: bool) -> None:
         self._model = model
@@ -336,6 +336,10 @@ class _EscapeWrapper:
         return self._model.predict_cursor(
             cursor, threshold=threshold, mark_used=mark_used, escape=self._escape
         )
+
+    def node_predictor(self, *, escape=False):
+        del escape
+        return self._model.node_predictor(escape=self._escape)
 
 
 _LABS: dict[tuple, WorkloadLab] = {}

@@ -21,7 +21,8 @@ the storage/latency substrate every model builds on:
   fused into one vectorised rebuild of the array store;
 * :mod:`repro.kernel.predict_table` — the compiled prediction table:
   per-node candidate rows and PB-PPM's per-root special rows, cut at any
-  threshold.
+  threshold, with the lazily memoised suffix links, transitions and
+  per-node cuts of the one-node prediction step.
 
 Equivalence guarantee: every model predicts, serialises and renders
 **identically** to the literal Fig. 1 node-forest builders of

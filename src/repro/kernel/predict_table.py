@@ -6,7 +6,6 @@ identical work for every click routed through the same node.  This module
 moves the division and the sort to build/swap time: one compilation pass
 flattens a :class:`~repro.kernel.compact.CompactTrie` into CSR-style
 numpy arrays so that at request time a prediction is a row prefix.
-Suffix matching stays on the store's packed child map.
 
 Two array families make up a :class:`PredictTable`:
 
@@ -23,24 +22,44 @@ Two array families make up a :class:`PredictTable`:
 The table holds no threshold.  Rows are sorted by descending probability
 and :func:`~repro.core.prediction.clears_threshold` is monotone in it, so
 the entries that clear any threshold ``t`` are a row's leading entries:
-one compile per store generation answers every threshold.  Cut rows are
-materialised lazily into tuples of shared frozen
-:class:`~repro.core.prediction.Prediction` objects, memoised per node for
-the last threshold asked — repeat visits to hot nodes allocate nothing,
-and the memo never holds more than one cut per node.
+one compile per store generation answers every threshold.
+
+**One node per click.**  Every suffix match of a click context is a
+suffix of its longest match's root path, so every model's prediction —
+PB-PPM's merged levels and special row, the longest row of the
+baselines, escape — is a function of that one node.  The table
+memoises, lazily, what the per-click step reads:
+
+* each visited node's depth and suffix link (the longest proper suffix
+  of its root path that is itself a root path);
+* each ``(node, symbol) -> node`` transition clicked, per context bound:
+  at most one entry per distinct ``(node, symbol)`` pair clicked; a URL
+  the model never saw has no symbol and is never memoised;
+* per prediction mode, each node's :class:`NodeCut` — the ``(symbol,
+  probability)`` rows the model predicts there and what marking them
+  flags used (:meth:`PredictTable.mark`) — for the last threshold
+  asked, one cut per node.
+
+A structural change of the store compiles a fresh table, so no memo
+outlives its store generation.
 """
 
 from __future__ import annotations
 
+from typing import Callable, Hashable
+
 import numpy as np
 
 from repro.core.prediction import Prediction, clears_threshold
-from repro.kernel.compact import CompactTrie
+from repro.kernel.compact import KEY_SHIFT, CompactTrie
 from repro.kernel.symbols import SymbolTable, string_ranks
 
 #: Table compilations performed by this process; tests use it to assert
 #: that a fit or a swap compiles exactly once.
 COMPILE_COUNT = 0
+
+#: The node of an empty match (no suffix of the context is a root path).
+NO_NODE = -1
 
 
 def _as_int64(values) -> np.ndarray:
@@ -63,13 +82,70 @@ def _cut(probs: list[float], threshold: float) -> int:
     return cut
 
 
+class NodeCut:
+    """One model's prediction at one node, cut at one threshold.
+
+    ``keys`` and ``probs`` are the predicted symbols and their
+    probabilities in prediction order (descending probability, ties by
+    URL); ``orders`` and ``sources`` complete each entry into a
+    :class:`~repro.core.prediction.Prediction` at the API edge
+    (:meth:`predictions`).  What a usage-marking prediction flags is kept
+    compact and set by :meth:`PredictTable.mark`: the whole root path of
+    each node in ``paths``, each node in ``nodes``, and the linked nodes
+    of each special-row entry in ``linked``; ``marked`` is the flag
+    buffer they were last set in.
+    """
+
+    __slots__ = (
+        "threshold", "keys", "probs", "orders", "sources", "paths", "nodes",
+        "linked", "marked", "_predictions",
+    )
+
+    def __init__(
+        self,
+        threshold: float,
+        keys: tuple[int, ...] = (),
+        probs: tuple[float, ...] = (),
+        orders: tuple[int, ...] = (),
+        sources: tuple[str, ...] = (),
+        paths: tuple[int, ...] = (),
+        nodes: tuple[int, ...] = (),
+        linked: tuple[int, ...] = (),
+    ) -> None:
+        self.threshold = threshold
+        self.keys = keys
+        self.probs = probs
+        self.orders = orders
+        self.sources = sources
+        self.paths = paths
+        self.nodes = nodes
+        self.linked = linked
+        self.marked: bytearray | None = None
+        self._predictions: tuple[Prediction, ...] | None = None
+
+    def predictions(self, url_of: Callable[[int], str]) -> tuple[Prediction, ...]:
+        """The cut as frozen ``Prediction`` objects, built once per cut."""
+        if self._predictions is None:
+            self._predictions = tuple(
+                Prediction(
+                    url=url_of(key), probability=prob, order=order, source=source
+                )
+                for key, prob, order, source in zip(
+                    self.keys, self.probs, self.orders, self.sources
+                )
+            )
+        return self._predictions
+
+    def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
+        return f"NodeCut(threshold={self.threshold}, keys={self.keys})"
+
+
 class PredictTable:
     """Precompiled candidate rows for one compact store.
 
-    Instances are immutable value objects over nine numpy arrays (see the
-    module docstring for the layout) plus two lazy Python-side memos
-    that hold each node's last cut row as a tuple of shared frozen
-    ``Prediction`` objects.  Build with :func:`compile_predict_table`.
+    Nine immutable numpy arrays (see the module docstring for the layout)
+    plus the lazy per-node memos of the one-node prediction step.  Build
+    with :func:`compile_predict_table`.
     """
 
     __slots__ = (
@@ -83,13 +159,19 @@ class PredictTable:
         "spc_prob",
         "spl_offsets",
         "spl_nodes",
-        "_row_cache",
-        "_special_cache",
+        "_store",
+        "_symbols",
+        "_depths",
+        "_links",
+        "_transitions",
+        "_cuts",
     )
 
     def __init__(
         self,
         *,
+        store: CompactTrie,
+        symbols: SymbolTable,
         ctx_offsets: np.ndarray,
         ctx_sym: np.ndarray,
         ctx_prob: np.ndarray,
@@ -110,82 +192,279 @@ class PredictTable:
         self.spc_prob = spc_prob
         self.spl_offsets = spl_offsets
         self.spl_nodes = spl_nodes
-        #: node -> (threshold, order, row) and root -> (threshold, row):
-        #: one memoised cut per node, replaced when another is asked.
-        self._row_cache: dict[int, tuple] = {}
-        self._special_cache: dict[int, tuple] = {}
+        self._store = store
+        self._symbols = symbols
+        self._depths: dict[int, int] = {}
+        self._links: dict[int, int] = {}
+        #: context bound -> {(node + 1) << KEY_SHIFT | symbol: node}
+        self._transitions: dict[int, dict[int, int]] = {}
+        #: mode -> {node: the node's last cut} (:meth:`predictor`)
+        self._cuts: dict[Hashable, dict[int, NodeCut]] = {}
 
-    # -- row access ------------------------------------------------------------
+    # -- node geometry -----------------------------------------------------------
+
+    def path(self, node: int) -> list[int]:
+        """Node indices from ``node``'s root down to ``node``."""
+        parents = self._store.parents
+        path = []
+        while node != NO_NODE:
+            path.append(node)
+            node = parents[node]
+        path.reverse()
+        return path
+
+    def depth(self, node: int) -> int:
+        """Length of ``node``'s root path (memoised per node)."""
+        depth = self._depths.get(node)
+        if depth is None:
+            depth = self._depths[node] = len(self.path(node))
+        return depth
+
+    def link(self, node: int) -> int:
+        """``node``'s suffix link (memoised per node).
+
+        The longest proper suffix of ``node``'s root path that is itself
+        a root path, or :data:`NO_NODE`.  Stores that are not
+        suffix-closed (PB-PPM's rise-only roots) can skip lengths, so the
+        suffixes are matched from the longest down.
+        """
+        link = self._links.get(node)
+        if link is None:
+            store = self._store
+            roots, children = store.roots, store.children
+            syms = [store.syms[idx] for idx in self.path(node)]
+            link = NO_NODE
+            for start in range(1, len(syms)):
+                idx = roots.get(syms[start])
+                for sym in syms[start + 1 :]:
+                    if idx is None:
+                        break
+                    idx = children.get((idx << KEY_SHIFT) | sym)
+                if idx is not None:
+                    link = idx
+                    break
+            self._links[node] = link
+        return link
+
+    def chain(self, node: int) -> list[int]:
+        """``node`` and its suffix links, longest first: every suffix match
+        of a context whose longest match is ``node``."""
+        chain = []
+        while node != NO_NODE:
+            chain.append(node)
+            node = self.link(node)
+        return chain
+
+    # -- transitions ------------------------------------------------------------
+
+    def transitions(self, max_length: int) -> dict[int, int]:
+        """The memo :meth:`transition` fills for one context bound, keyed
+        ``(node + 1) << KEY_SHIFT | symbol``."""
+        memo = self._transitions.get(max_length)
+        if memo is None:
+            memo = self._transitions[max_length] = {}
+        return memo
+
+    def transition(self, node: int, sym: int, max_length: int) -> int:
+        """The longest match, at most ``max_length`` deep, after ``sym``
+        is clicked where ``node`` was the longest match.
+
+        A match of the longer context is a match of the old one extended
+        by ``sym``, or ``sym``'s root alone; the old matches are
+        ``node``'s chain, so the first chain member (shallower than the
+        bound) with a ``sym`` child wins.  Memoised in
+        :meth:`transitions`.
+        """
+        cur = node
+        while cur != NO_NODE and self.depth(cur) >= max_length:
+            cur = self.link(cur)
+        children = self._store.children
+        nxt = NO_NODE
+        while cur != NO_NODE:
+            child = children.get((cur << KEY_SHIFT) | sym)
+            if child is not None:
+                nxt = child
+                break
+            cur = self.link(cur)
+        else:
+            nxt = self._store.roots.get(sym, NO_NODE)
+        self.transitions(max_length)[((node + 1) << KEY_SHIFT) | sym] = nxt
+        return nxt
+
+    # -- row cuts ---------------------------------------------------------------
 
     def context_row(
-        self, idx: int, order: int, threshold: float, url_of
-    ) -> tuple[tuple[Prediction, ...], tuple[int, ...]]:
-        """``(predictions, child indices)`` of a matched node at ``threshold``.
-
-        The row's leading children that clear ``threshold``, sorted by
-        ``(-probability, url)`` with ``order`` already set; the parallel
-        child-index tuple feeds usage marking.  The cut is memoised per
-        node for the last ``(threshold, order)`` asked.
-        """
-        memo = self._row_cache.get(idx)
-        if memo is not None and memo[0] == threshold and memo[1] == order:
-            return memo[2]
-        lo, hi = self.ctx_offsets[idx : idx + 2].tolist()
+        self, node: int, threshold: float
+    ) -> tuple[list[int], list[float], list[int]]:
+        """``(symbols, probabilities, child indices)``: the leading
+        children of ``node``'s row that clear ``threshold``."""
+        lo, hi = self.ctx_offsets[node : node + 2].tolist()
+        if lo == hi:
+            return [], [], []
         probs = self.ctx_prob[lo:hi].tolist()
         stop = lo + _cut(probs, threshold)
-        if stop == lo:
-            row = ((), ())
-        else:
-            syms = self.ctx_sym[lo:stop].tolist()
-            row = (
-                tuple(
-                    Prediction(url=url_of(sym), probability=prob, order=order)
-                    for sym, prob in zip(syms, probs)
-                ),
-                tuple(self.ctx_child[lo:stop].tolist()),
-            )
-        self._row_cache[idx] = (threshold, order, row)
-        return row
+        return (
+            self.ctx_sym[lo:stop].tolist(),
+            probs[: stop - lo],
+            self.ctx_child[lo:stop].tolist(),
+        )
 
     def special_row(
-        self, root: int, threshold: float, url_of
-    ) -> tuple[tuple[Prediction, ...], tuple[tuple[int, ...], ...]]:
-        """``(predictions, linked index groups)`` of a root at ``threshold``.
-
-        One prediction per linked URL among the row's leading entries
-        that clear the special-link ``threshold`` (order 0, source
-        ``"special_link"``); the parallel groups carry the duplicated
-        nodes aggregated into each entry, for usage marking.  Memoised
-        per root for the last threshold asked.
-        """
-        memo = self._special_cache.get(root)
-        if memo is not None and memo[0] == threshold:
-            return memo[1]
+        self, root: int, threshold: float
+    ) -> tuple[list[int], list[float], range]:
+        """``(symbols, probabilities, entries)``: the leading entries of
+        ``root``'s special row that clear ``threshold``, with their entry
+        indices (:meth:`linked_nodes` lists the duplicated nodes
+        aggregated into one)."""
         lo, hi = self.spc_offsets[root : root + 2].tolist()
+        if lo == hi:
+            return [], [], range(0)
         probs = self.spc_prob[lo:hi].tolist()
         stop = lo + _cut(probs, threshold)
-        if stop == lo:
-            row = ((), ())
-        else:
-            syms = self.spc_sym[lo:stop].tolist()
-            bounds = self.spl_offsets[lo : stop + 1].tolist()
-            row = (
-                tuple(
-                    Prediction(
-                        url=url_of(sym),
-                        probability=prob,
-                        order=0,
-                        source="special_link",
+        return self.spc_sym[lo:stop].tolist(), probs[: stop - lo], range(lo, stop)
+
+    def linked_nodes(self, entry: int) -> list[int]:
+        """The linked node indices aggregated into special entry ``entry``."""
+        start, stop = self.spl_offsets[entry : entry + 2].tolist()
+        return self.spl_nodes[start:stop].tolist()
+
+    def mark(self, cut: NodeCut, flags: bytearray) -> None:
+        """Set what ``cut`` predicted from in a store's usage ``flags``.
+
+        Once per buffer: a store only ever clears its flags by replacing
+        the buffer (:meth:`~repro.kernel.compact.CompactTrie.reset_used`),
+        so a cut already marked in ``flags`` has nothing left to set.
+        """
+        if cut.marked is flags:
+            return
+        parents = self._store.parents
+        for node in cut.paths:
+            while node != NO_NODE:
+                flags[node] = 1
+                node = parents[node]
+        for node in cut.nodes:
+            flags[node] = 1
+        for entry in cut.linked:
+            for node in self.linked_nodes(entry):
+                flags[node] = 1
+        cut.marked = flags
+
+    # -- per-node prediction steps ----------------------------------------------
+
+    def longest_cut(self, node: int, threshold: float, escape: bool = False) -> NodeCut:
+        """The longest-match step (standard PPM, LRS-PPM, Markov-1).
+
+        The longest match predicts its row cut at ``threshold``; its root
+        path and the predicted children are marked used.  An empty cut
+        predicts nothing — or, with ``escape``, falls back to the next
+        shorter match (compression-style PPM escape, an ablation).
+        """
+        while node != NO_NODE:
+            keys, probs, children = self.context_row(node, threshold)
+            if keys:
+                count = len(keys)
+                return NodeCut(
+                    threshold,
+                    tuple(keys),
+                    tuple(probs),
+                    (self.depth(node),) * count,
+                    ("context",) * count,
+                    paths=(node,),
+                    nodes=tuple(children),
+                )
+            if not escape:
+                break
+            node = self.link(node)
+        return NodeCut(threshold)
+
+    def merged_cut(
+        self, node: int, threshold: float, special_threshold: float
+    ) -> NodeCut:
+        """PB-PPM's step: every match's row, plus the special links.
+
+        Each match, longest first, contributes its row cut at
+        ``threshold``; a URL keeps the entry of the longest match that
+        produced it, and a match that contributed marks its root path and
+        contributed children used.  Then the special row of the current
+        click's root, cut at ``special_threshold``, adds the URLs not yet
+        predicted (order 0), marking the root and the linked nodes
+        aggregated into each.  Entries come out sorted by
+        ``(-probability, url)``.
+        """
+        url_of = self._symbols.url
+        seen: set[int] = set()
+        entries: list[tuple] = []
+        paths: list[int] = []
+        nodes: list[int] = []
+        linked: list[int] = []
+        for level in self.chain(node):
+            keys, probs, children = self.context_row(level, threshold)
+            fresh = [i for i, key in enumerate(keys) if key not in seen]
+            if not fresh:
+                continue
+            order = self.depth(level)
+            paths.append(level)
+            for i in fresh:
+                key = keys[i]
+                seen.add(key)
+                entries.append(
+                    (-probs[i], url_of(key), key, probs[i], order, "context")
+                )
+                nodes.append(children[i])
+        if node != NO_NODE:
+            store = self._store
+            root = store.roots.get(store.syms[node])
+            if root is not None:
+                keys, probs, rows = self.special_row(root, special_threshold)
+                for key, probability, entry in zip(keys, probs, rows):
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    entries.append(
+                        (-probability, url_of(key), key, probability, 0, "special_link")
                     )
-                    for sym, prob in zip(syms, probs)
-                ),
-                tuple(
-                    tuple(self.spl_nodes[start:end].tolist())
-                    for start, end in zip(bounds, bounds[1:])
-                ),
-            )
-        self._special_cache[root] = (threshold, row)
-        return row
+                    linked.append(entry)
+                if linked:
+                    nodes.append(root)
+        if not entries:
+            return NodeCut(threshold)
+        entries.sort()
+        _neg, _urls, keys, probs, orders, sources = zip(*entries)
+        return NodeCut(
+            threshold,
+            keys,
+            probs,
+            orders,
+            sources,
+            paths=tuple(paths),
+            nodes=tuple(nodes),
+            linked=tuple(linked),
+        )
+
+    def predictor(
+        self, mode: Hashable, cut: Callable[[int, float], NodeCut]
+    ) -> Callable[[int, float], NodeCut]:
+        """The memoised per-node step of one prediction mode.
+
+        The returned ``step(node, threshold)`` answers from the mode's
+        memo of the last cut asked per node and calls
+        ``cut(node, threshold)`` only on a miss.  Memos are per ``mode``
+        (a model's step with its settings, such as
+        ``("merged", special_threshold)``), so every step of a mode
+        shares one.  The table keeps only the memo, never ``cut``, which
+        usually refers back to the table.
+        """
+        memo = self._cuts.get(mode)
+        if memo is None:
+            memo = self._cuts[mode] = {}
+
+        def step(node: int, threshold: float) -> NodeCut:
+            hit = memo.get(node)
+            if hit is None or hit.threshold != threshold:
+                hit = memo[node] = cut(node, threshold)
+            return hit
+
+        return step
 
     def storage_bytes(self) -> int:
         """Bytes held by the table's arrays (diagnostics)."""
@@ -221,6 +500,7 @@ def compile_predict_table(store: CompactTrie, symbols: "SymbolTable") -> Predict
     Only PB-PPM's special rows keep a loop, over the roots that carry
     special links.  No threshold filters a row: predictions cut it
     (:meth:`PredictTable.context_row`), so one table serves them all.
+    The table keeps ``store`` and ``symbols`` for its per-node memos.
     """
     global COMPILE_COUNT
     COMPILE_COUNT += 1
@@ -284,6 +564,8 @@ def compile_predict_table(store: CompactTrie, symbols: "SymbolTable") -> Predict
     np.cumsum(spc_row_counts, out=spc_offsets[1:])
 
     return PredictTable(
+        store=store,
+        symbols=symbols,
         ctx_offsets=ctx_offsets,
         ctx_sym=ctx_sym,
         ctx_prob=ctx_prob,

@@ -53,7 +53,7 @@ from repro.core.popularity import PopularityTable
 from repro.errors import ReproError, ServeError, WalError
 from repro.resilience.faults import fire
 from repro.serve.snapshot import SnapshotManager
-from repro.serve.state import ClientSessionTracker, ModelRef
+from repro.serve.state import ClientSessionTracker, ModelRef, check_predict_args
 from repro.serve.updater import ModelUpdater
 from repro.serve.wal import ReportJournal, read_journal, replay_into_tracker
 
@@ -755,7 +755,8 @@ class PrefetchServer:
         try:
             threshold = float(query.get("threshold") or self.default_threshold)
             limit = int(query["limit"]) if "limit" in query else None
-        except ValueError:
+            check_predict_args(threshold, limit)
+        except (TypeError, ValueError):
             return _error_body(400, "bad threshold= or limit=")
         predictions, version = self.tracker.predict(
             client, threshold=threshold, limit=limit

@@ -35,6 +35,15 @@ from repro.trace.sessions import Session
 DEFAULT_MAX_SESSION_CLICKS = 500
 
 
+def check_predict_args(threshold: float, limit: int | None) -> None:
+    """Reject a prediction threshold outside [0, 1] (NaN and infinities
+    included) and a negative ``limit``, with ``ValueError``."""
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must be in [0, 1], got {threshold!r}")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit!r}")
+
+
 def trim_context(urls: Sequence[str], max_length: int) -> tuple[str, ...]:
     """The context suffix a prediction actually uses (newest clicks win)."""
     if max_length < 1:
@@ -275,7 +284,11 @@ class ClientSessionTracker:
         client: the memo is dropped on every ``observe`` (the cursor
         moved) and on every model-generation flip, so a hit is always
         byte-identical to a recompute.
+
+        Raises ``ValueError`` for a ``threshold`` outside [0, 1] (NaN
+        and infinities included) or a negative ``limit``.
         """
+        check_predict_args(threshold, limit)
         model, version = self.ref.get()
         state = self._clients.get(client)
         if state is None or not state.clicks:

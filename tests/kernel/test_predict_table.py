@@ -53,32 +53,37 @@ def compile_built():
     return store, symbols, compile_predict_table(store, symbols)
 
 
+def urls_of(symbols, keys):
+    return [symbols.url(key) for key in keys]
+
+
 class TestCompile:
     def test_rows_hold_qualifying_children_sorted(self):
         store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
-        predictions, children = table.context_row(
-            root_a, 1, THRESHOLD, symbols.url
-        )
-        assert [(p.url, p.probability) for p in predictions] == [
+        keys, probs, children = table.context_row(root_a, THRESHOLD)
+        assert list(zip(urls_of(symbols, keys), probs)) == [
             ("B", 0.75),
             ("C", 0.25),
         ]
-        assert all(p.order == 1 for p in predictions)
-        assert all(p.source == "context" for p in predictions)
-        assert list(children) == [
+        assert children == [
             store.child(root_a, symbols.get("B")),
             store.child(root_a, symbols.get("C")),
+        ]
+        # The per-node step completes each entry into a prediction: the
+        # order is the matched node's depth, the source a context row.
+        predictions = table.longest_cut(root_a, THRESHOLD).predictions(symbols.url)
+        assert [(p.url, p.order, p.source) for p in predictions] == [
+            ("B", 1, "context"),
+            ("C", 1, "context"),
         ]
 
     def test_probability_ties_break_by_url(self):
         store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
         node_b = store.child(root_a, symbols.get("B"))
-        predictions, _children = table.context_row(
-            node_b, 2, THRESHOLD, symbols.url
-        )
-        assert [(p.url, p.probability) for p in predictions] == [
+        keys, probs, _children = table.context_row(node_b, THRESHOLD)
+        assert list(zip(urls_of(symbols, keys), probs)) == [
             ("X", 0.5),
             ("Y", 0.5),
         ]
@@ -88,45 +93,50 @@ class TestCompile:
         root_a = store.roots[symbols.get("A")]
         node_b = store.child(root_a, symbols.get("B"))
 
-        def cut(idx, order, threshold):
-            predictions, _children = table.context_row(
-                idx, order, threshold, symbols.url
-            )
-            return [p.url for p in predictions]
+        def cut(idx, threshold):
+            keys, _probs, _children = table.context_row(idx, threshold)
+            return urls_of(symbols, keys)
 
         # The row holds B (0.75) and C (0.25): a threshold keeps the
         # leading entries that clear it, an exact 0.25 included.
-        assert cut(root_a, 1, 0.0) == ["B", "C"]
-        assert cut(root_a, 1, 0.25) == ["B", "C"]
-        assert cut(root_a, 1, 0.5) == ["B"]
-        assert cut(root_a, 1, 0.75) == ["B"]
-        assert cut(root_a, 1, 0.76) == []
+        assert cut(root_a, 0.0) == ["B", "C"]
+        assert cut(root_a, 0.25) == ["B", "C"]
+        assert cut(root_a, 0.5) == ["B"]
+        assert cut(root_a, 0.75) == ["B"]
+        assert cut(root_a, 0.76) == []
         # A tie cuts as a block: X and Y both sit at 0.5.
-        assert cut(node_b, 2, 0.5) == ["X", "Y"]
-        assert cut(node_b, 2, 0.5 + 1e-9) == []
+        assert cut(node_b, 0.5) == ["X", "Y"]
+        assert cut(node_b, 0.5 + 1e-9) == []
 
     def test_leaf_rows_are_empty(self):
         store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
         node_c = store.child(root_a, symbols.get("C"))
         for threshold in (0.0, THRESHOLD):
-            assert table.context_row(node_c, 1, threshold, symbols.url) == ((), ())
+            assert table.context_row(node_c, threshold) == ([], [], [])
+            assert table.longest_cut(node_c, threshold).keys == ()
 
     def test_rows_are_cached_and_shared(self):
         store, symbols, table = compile_built()
         root_a = store.roots[symbols.get("A")]
-        first = table.context_row(root_a, 1, THRESHOLD, symbols.url)
-        assert table.context_row(root_a, 1, THRESHOLD, symbols.url) is first
-        # A different order is a different row, and replaces the memo.
-        other = table.context_row(root_a, 3, THRESHOLD, symbols.url)
-        assert other is not first
-        assert [p.order for p in other[0]] == [3, 3]
-        # So does a different threshold: one memoised cut per node.
-        higher = table.context_row(root_a, 3, 0.5, symbols.url)
-        assert [p.url for p in higher[0]] == ["B"]
-        assert len(table._row_cache) == 1
-        again = table.context_row(root_a, 3, THRESHOLD, symbols.url)
-        assert again == other and again is not other
+        step = table.predictor("longest", table.longest_cut)
+        first = step(root_a, THRESHOLD)
+        assert step(root_a, THRESHOLD) is first
+        # Every step of a mode shares its memo.
+        assert table.predictor("longest", table.longest_cut)(root_a, THRESHOLD) is first
+        assert first.predictions(symbols.url) is first.predictions(symbols.url)
+        # A different threshold replaces the node's memo: one cut per node.
+        higher = step(root_a, 0.5)
+        assert higher is not first
+        assert urls_of(symbols, higher.keys) == ["B"]
+        again = step(root_a, THRESHOLD)
+        assert again is not first
+        assert (again.keys, again.probs, again.paths, again.nodes) == (
+            first.keys,
+            first.probs,
+            first.paths,
+            first.nodes,
+        )
 
     def test_compile_count_tracks_compilations(self):
         store, symbols = build_store()
@@ -140,6 +150,38 @@ class TestCompile:
         # 7 nodes: two offset arrays of 8 slots, 5 context rows of three
         # 8-byte columns, no special rows (one spl_offsets slot).
         assert table.storage_bytes() == 2 * 8 * 8 + 5 * 3 * 8 + 8
+
+
+class TestNodeMemos:
+    def test_suffix_links_skip_lengths_a_store_lacks(self):
+        """Root paths A/B/C and C only: the longest proper suffix of A/B/C
+        that is a root path is C (B/C is not one), and C has none."""
+        store = CompactTrie()
+        symbols = SymbolTable()
+        store.insert_path(symbols.intern_sequence(("A", "B", "C")), 2)
+        store.insert_path(symbols.intern_sequence(("C", "D")), 1)
+        table = compile_predict_table(store, symbols)
+        root_a = store.roots[symbols.get("A")]
+        node_ab = store.child(root_a, symbols.get("B"))
+        node_abc = store.child(node_ab, symbols.get("C"))
+        root_c = store.roots[symbols.get("C")]
+        assert table.link(node_abc) == root_c
+        assert table.link(root_c) == -1
+        assert table.chain(node_abc) == [node_abc, root_c]
+        assert [table.depth(n) for n in table.chain(node_abc)] == [3, 1]
+
+    def test_transitions_honour_the_context_bound(self):
+        store, symbols, table = compile_built()
+        root_a = store.roots[symbols.get("A")]
+        node_b = store.child(root_a, symbols.get("B"))
+        sym_x = symbols.get("X")
+        # Unbounded, A/B extends to A/B/X; with a bound of 2 the match
+        # must drop A first, and B has no root, so nothing matches.
+        assert table.transition(node_b, sym_x, 3) == store.child(node_b, sym_x)
+        assert table.transition(node_b, sym_x, 2) == -1
+        assert table.transitions(2) == {((node_b + 1) << 32) | sym_x: -1}
+        # From no match, a click lands on its root.
+        assert table.transition(-1, symbols.get("A"), 2) == root_a
 
 
 class TestSpecialRows:
@@ -156,20 +198,34 @@ class TestSpecialRows:
         # must be cut by a 0.2 special threshold.
         store.special_links[root_a] = [node_x, node_y, node_e]
         table = compile_predict_table(store, symbols)
-        predictions, groups = table.special_row(root_a, 0.2, symbols.url)
-        assert [(p.url, p.probability) for p in predictions] == [
+        keys, probs, entries = table.special_row(root_a, 0.2)
+        assert list(zip(urls_of(symbols, keys), probs)) == [
             ("X", 3 / 8),
             ("Y", 3 / 8),
         ]
-        assert all(p.source == "special_link" for p in predictions)
-        assert all(p.order == 0 for p in predictions)
         # Parallel linked-node groups feed usage marking.
-        assert groups == ((node_x,), (node_y,))
+        assert [table.linked_nodes(e) for e in entries] == [[node_x], [node_y]]
         # The row holds E too; a lower threshold keeps it.
-        predictions, groups = table.special_row(root_a, 0.1, symbols.url)
-        assert [p.url for p in predictions] == ["X", "Y", "E"]
-        assert groups == ((node_x,), (node_y,), (node_e,))
-        assert table.special_row(root_a, 0.4, symbols.url) == ((), ())
+        keys, probs, entries = table.special_row(root_a, 0.1)
+        assert urls_of(symbols, keys) == ["X", "Y", "E"]
+        assert [table.linked_nodes(e) for e in entries] == [
+            [node_x],
+            [node_y],
+            [node_e],
+        ]
+        assert table.special_row(root_a, 0.4)[:2] == ([], [])
+        # PB-PPM's merged step adds them at order 0 as special links.
+        cut = table.merged_cut(root_a, 1.0, 0.2)
+        assert [(p.url, p.order, p.source) for p in cut.predictions(symbols.url)] == [
+            ("X", 0, "special_link"),
+            ("Y", 0, "special_link"),
+        ]
+        # Marking flags the root and the linked nodes of the fired entries.
+        flags = bytearray(len(store.syms))
+        table.mark(cut, flags)
+        assert [i for i, flag in enumerate(flags) if flag] == sorted(
+            [root_a, node_x, node_y]
+        )
 
     def test_duplicate_linked_symbols_aggregate_into_one_row(self):
         store = CompactTrie()
@@ -182,15 +238,15 @@ class TestSpecialRows:
         s_under_q = store.child(root_q, symbols.get("S"))
         store.special_links[root_r] = [s_under_r, s_under_q]
         table = compile_predict_table(store, symbols)
-        predictions, groups = table.special_row(root_r, 0.05, symbols.url)
+        keys, probs, entries = table.special_row(root_r, 0.05)
         # (4 + 2) / 4 clamps to 1.0, one row, both nodes in its group.
-        assert [(p.url, p.probability) for p in predictions] == [("S", 1.0)]
-        assert groups == ((s_under_r, s_under_q),)
+        assert list(zip(urls_of(symbols, keys), probs)) == [("S", 1.0)]
+        assert [table.linked_nodes(e) for e in entries] == [[s_under_r, s_under_q]]
 
     def test_roots_without_links_have_empty_rows(self):
         store, symbols, table = compile_built()
         root_d = store.roots[symbols.get("D")]
-        assert table.special_row(root_d, 0.0, symbols.url) == ((), ())
+        assert table.special_row(root_d, 0.0)[:2] == ([], [])
 
 
 DISPATCH_SEQUENCES = [

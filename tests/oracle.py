@@ -21,6 +21,11 @@ per URL:
   (and its row cuts) and :meth:`~repro.kernel.compact.CompactTrie.path_stats`;
 * :func:`predict_pb_store_walk`, PB-PPM's per-request walk over the
   compact store, the reference arm of ``benchmarks/bench_predict.py``;
+* :class:`ReferenceSimulator`, trace-driven replay in both topologies
+  keyed by URL strings, with one ``predict_cursor`` call and one list of
+  ``Prediction`` objects per click — the reference for
+  :class:`~repro.sim.engine.PrefetchSimulator`'s replay over one
+  integer key space per run;
 * :class:`ReferenceTrace`, the trace derivations of
   :class:`~repro.trace.dataset.Trace` (filter, sort, embedded-object fold,
   sessionisation, day split, per-URL and per-client tables) computed one
@@ -48,10 +53,14 @@ from repro.core.lrs import LRSPPM
 from repro.core.node import TrieNode
 from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
-from repro.core.prediction import Prediction, clears_threshold
+from repro.core.prediction import Prediction, PredictionCursor, clears_threshold
 from repro.core.standard import StandardPPM
 from repro.core.stats import node_count, path_utilization, reset_usage
 from repro.errors import TraceError, WorkloadError
+from repro.sim.engine import PrefetchSimulator, replay_rows
+from repro.sim.events import EventKind, SimulationEvent
+from repro.sim.metrics import SimulationResult
+from repro.sim.replacement import make_cache
 from repro.kernel.compact import CompactTrie
 from repro.kernel.predict_table import PredictTable, _as_int64
 from repro.kernel.symbols import SymbolTable
@@ -586,6 +595,8 @@ def compile_predict_table(
     np.cumsum(spc_row_counts, out=spc_offsets[1:])
 
     return PredictTable(
+        store=store,
+        symbols=symbols,
         ctx_offsets=ctx_offsets,
         ctx_sym=ctx_sym,
         ctx_prob=ctx_prob,
@@ -797,6 +808,270 @@ class OracleModel:
 
     def mark_used_paths(self, paths: Sequence[tuple[str, ...]]) -> None:
         mark_used_paths(self.roots, paths)
+
+
+# ---------------------------------------------------------------------------
+# The reference replay
+# ---------------------------------------------------------------------------
+
+
+class _ReferenceEndpoint:
+    """A URL-keyed cache plus which residents arrived by prefetch."""
+
+    def __init__(self, cache) -> None:
+        self.cache = cache
+        self.prefetched: dict[str, int] = {}
+
+    def sync_evictions(self, evicted: Sequence[str]) -> None:
+        for url in evicted:
+            self.prefetched.pop(url, None)
+
+    def demand_fill(self, url: str, size: int) -> None:
+        self.sync_evictions(self.cache.store(url, size))
+        self.prefetched.pop(url, None)
+
+    def prefetch_fill(self, url: str, size: int) -> bool:
+        self.sync_evictions(self.cache.store(url, size))
+        if url in self.cache:
+            self.prefetched[url] = size
+            return True
+        return False
+
+
+class _ReferenceClient:
+    """Per-client caches and prediction cursor."""
+
+    def __init__(self, endpoint, shadow, cursor: PredictionCursor | None) -> None:
+        self.endpoint = endpoint
+        self.shadow = shadow
+        self.cursor = cursor
+        self.last_time = float("-inf")
+
+
+class ReferenceSimulator(PrefetchSimulator):
+    """Replay keyed by URL strings, one ``predict_cursor`` per click.
+
+    The reference for :class:`~repro.sim.engine.PrefetchSimulator`'s
+    integer-keyed replay: every cache, shadow cache and prefetched map is
+    keyed by URL, each client follows a
+    :class:`~repro.core.prediction.PredictionCursor`, and each click asks
+    ``model.predict_cursor`` for a list of ``Prediction`` objects.
+    Constructor, threshold hook (so
+    :class:`~repro.sim.adaptive.AdaptivePrefetchSimulator`'s controller
+    mixes in) and result fields are the engine's.
+    """
+
+    def _new_result(self) -> SimulationResult:
+        result = SimulationResult(
+            model_name=self.model.name if self.model is not None else "none"
+        )
+        if self.model is not None:
+            self.model.reset_usage()
+        return result
+
+    def _finish_result(self, result: SimulationResult) -> SimulationResult:
+        if self.model is not None:
+            result.node_count = self.model.node_count
+            result.path_utilization = self.model.path_utilization()
+        return result
+
+    def _new_client(self, capacity: int) -> _ReferenceClient:
+        cfg = self.config
+        cursor = (
+            None
+            if self.model is None
+            else self.model.prediction_cursor(cfg.max_context_length)
+        )
+        return _ReferenceClient(
+            _ReferenceEndpoint(make_cache(cfg.cache_policy, capacity)),
+            make_cache(cfg.cache_policy, capacity),
+            cursor,
+        )
+
+    def _log_event(self, timestamp, client, url, kind, detail=0.0) -> None:
+        if self.event_log is not None:
+            self.event_log.record(
+                SimulationEvent(timestamp, client, url, kind, detail)
+            )
+
+    def _update_context(self, state, url: str, timestamp: float) -> None:
+        cfg = self.config
+        cursor = state.cursor
+        if cursor is not None:
+            if (
+                cfg.reset_context_on_session_gap
+                and timestamp - state.last_time > cfg.idle_timeout_seconds
+            ):
+                cursor.reset()
+            cursor.advance(url)
+        state.last_time = timestamp
+
+    def _account_prefetch_hit(self, result, endpoint, url: str) -> None:
+        size = endpoint.prefetched.pop(url, None)
+        if size is None:
+            return
+        result.prefetch_hits += 1
+        result.prefetch_used_bytes += size
+        if self.popularity is not None and self.popularity.is_popular(url):
+            result.popular_prefetch_hits += 1
+
+    def _issue_prefetches(self, result, target, cursor, origin) -> None:
+        if self.model is None:
+            return
+        cfg = self.config
+        predictions = self.model.predict_cursor(
+            cursor, threshold=self._next_threshold(result), mark_used=True
+        )
+        result.predictions_made += len(predictions)
+        issued = 0
+        for prediction in predictions:
+            if issued >= cfg.max_prefetch_per_request:
+                break
+            size = self.url_sizes.get(prediction.url)
+            if size is None or size > cfg.prefetch_size_limit_bytes:
+                continue
+            if prediction.url in target.cache:
+                continue
+            if target.prefetch_fill(prediction.url, size):
+                result.prefetch_bytes += size
+                result.prefetches_issued += 1
+                issued += 1
+                self._log_event(
+                    origin[0],
+                    origin[1],
+                    prediction.url,
+                    EventKind.PREFETCH,
+                    prediction.probability,
+                )
+
+    def run(self, requests, *, client_kinds=None) -> SimulationResult:
+        cfg = self.config
+        kinds = client_kinds or {}
+        result = self._new_result()
+        states: dict[str, _ReferenceClient] = {}
+
+        for client, url, timestamp, size in replay_rows(requests):
+            state = states.get(client)
+            if state is None:
+                capacity = (
+                    cfg.proxy_cache_bytes
+                    if kinds.get(client) == "proxy"
+                    else cfg.browser_cache_bytes
+                )
+                state = states[client] = self._new_client(capacity)
+
+            self._update_context(state, url, timestamp)
+            result.requests += 1
+
+            if state.shadow.access(url):
+                result.shadow_hits += 1
+                shadow_latency = 0.0
+            else:
+                shadow_latency = self.latency_model.estimate(size)
+                result.shadow_latency_seconds += shadow_latency
+                state.shadow.store(url, size)
+            if cfg.collect_latencies:
+                result.shadow_latencies.append(shadow_latency)
+
+            if state.endpoint.cache.access(url):
+                was_prefetched = url in state.endpoint.prefetched
+                result.hits += 1
+                result.browser_hits += 1
+                self._account_prefetch_hit(result, state.endpoint, url)
+                self._log_event(
+                    timestamp,
+                    client,
+                    url,
+                    EventKind.HIT_PREFETCHED
+                    if was_prefetched
+                    else EventKind.HIT_BROWSER,
+                )
+                if cfg.collect_latencies:
+                    result.latencies.append(0.0)
+            else:
+                latency = self.latency_model.estimate(size)
+                result.demand_miss_bytes += size
+                result.latency_seconds += latency
+                state.endpoint.demand_fill(url, size)
+                if cfg.collect_latencies:
+                    result.latencies.append(latency)
+                self._log_event(timestamp, client, url, EventKind.MISS, float(size))
+
+            self._issue_prefetches(
+                result, state.endpoint, state.cursor, (timestamp, client)
+            )
+
+        return self._finish_result(result)
+
+    def run_proxy(self, requests, *, clients=None) -> SimulationResult:
+        cfg = self.config
+        result = self._new_result()
+        wanted = frozenset(clients) if clients is not None else None
+
+        proxy = _ReferenceEndpoint(make_cache(cfg.cache_policy, cfg.proxy_cache_bytes))
+        proxy_shadow = make_cache(cfg.cache_policy, cfg.proxy_cache_bytes)
+        states: dict[str, _ReferenceClient] = {}
+
+        for client, url, timestamp, size in replay_rows(requests):
+            if wanted is not None and client not in wanted:
+                continue
+            state = states.get(client)
+            if state is None:
+                state = states[client] = self._new_client(cfg.browser_cache_bytes)
+
+            self._update_context(state, url, timestamp)
+            result.requests += 1
+
+            if state.shadow.access(url):
+                result.shadow_hits += 1
+                shadow_latency = 0.0
+            elif proxy_shadow.access(url):
+                result.shadow_hits += 1
+                state.shadow.store(url, size)
+                shadow_latency = 0.0
+            else:
+                shadow_latency = self.latency_model.estimate(size)
+                result.shadow_latency_seconds += shadow_latency
+                proxy_shadow.store(url, size)
+                state.shadow.store(url, size)
+            if cfg.collect_latencies:
+                result.shadow_latencies.append(shadow_latency)
+
+            if state.endpoint.cache.access(url):
+                result.hits += 1
+                result.browser_hits += 1
+                self._log_event(timestamp, client, url, EventKind.HIT_BROWSER)
+                if cfg.collect_latencies:
+                    result.latencies.append(0.0)
+            elif proxy.cache.access(url):
+                was_prefetched = url in proxy.prefetched
+                result.hits += 1
+                result.proxy_hits += 1
+                self._account_prefetch_hit(result, proxy, url)
+                state.endpoint.demand_fill(url, size)
+                self._log_event(
+                    timestamp,
+                    client,
+                    url,
+                    EventKind.HIT_PREFETCHED
+                    if was_prefetched
+                    else EventKind.HIT_PROXY,
+                )
+                if cfg.collect_latencies:
+                    result.latencies.append(0.0)
+            else:
+                latency = self.latency_model.estimate(size)
+                result.demand_miss_bytes += size
+                result.latency_seconds += latency
+                proxy.demand_fill(url, size)
+                state.endpoint.demand_fill(url, size)
+                if cfg.collect_latencies:
+                    result.latencies.append(latency)
+                self._log_event(timestamp, client, url, EventKind.MISS, float(size))
+
+            self._issue_prefetches(result, proxy, state.cursor, (timestamp, client))
+
+        return self._finish_result(result)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,6 @@ def test_row_cuts_equal_the_reference_compiled_at_the_threshold(
     row cut at ``t`` equals the reference row compiled at ``t`` and ``t``
     — predictions, their order, child indices and linked groups."""
     store, symbols = built
-    url_of = symbols.url
     table = compile_predict_table(store, symbols)
     for threshold in thresholds + thresholds[:1]:
         want = oracle.compile_predict_table(
@@ -114,25 +113,20 @@ def test_row_cuts_equal_the_reference_compiled_at_the_threshold(
         )
         for idx in range(len(store.syms)):
             lo, hi = want.ctx_offsets[idx : idx + 2].tolist()
-            predictions, children = table.context_row(idx, 2, threshold, url_of)
-            assert [(p.url, p.probability, p.order) for p in predictions] == [
-                (url_of(sym), prob, 2)
-                for sym, prob in zip(
-                    want.ctx_sym[lo:hi].tolist(), want.ctx_prob[lo:hi].tolist()
-                )
-            ]
-            assert list(children) == want.ctx_child[lo:hi].tolist()
+            assert table.context_row(idx, threshold) == (
+                want.ctx_sym[lo:hi].tolist(),
+                want.ctx_prob[lo:hi].tolist(),
+                want.ctx_child[lo:hi].tolist(),
+            )
         for root in store.roots.values():
             lo, hi = want.spc_offsets[root : root + 2].tolist()
-            predictions, groups = table.special_row(root, threshold, url_of)
-            assert [(p.url, p.probability) for p in predictions] == [
-                (url_of(sym), prob)
-                for sym, prob in zip(
-                    want.spc_sym[lo:hi].tolist(), want.spc_prob[lo:hi].tolist()
-                )
-            ]
             bounds = want.spl_offsets[lo : hi + 1].tolist()
-            assert [list(group) for group in groups] == [
+            keys, probs, entries = table.special_row(root, threshold)
+            assert (keys, probs) == (
+                want.spc_sym[lo:hi].tolist(),
+                want.spc_prob[lo:hi].tolist(),
+            )
+            assert [table.linked_nodes(entry) for entry in entries] == [
                 want.spl_nodes[start:stop].tolist()
                 for start, stop in zip(bounds, bounds[1:])
             ]

@@ -88,6 +88,52 @@ class TestValidation:
         status, _ = client.json("GET", "/predict?client=c1&threshold=high")
         assert status == 400
 
+    @pytest.mark.parametrize(
+        "query",
+        [
+            "threshold=nan",
+            "threshold=inf",
+            "threshold=-inf",
+            "threshold=-0.1",
+            "threshold=1.5",
+            "limit=-1",
+            "threshold=0&limit=-3",
+        ],
+    )
+    def test_predict_rejects_out_of_range_arguments(self, client, query):
+        """A threshold outside [0, 1] or a negative limit is a 400, on
+        /predict and on a combined report — never a silently sliced or
+        empty answer."""
+        client.report("c1", "A", 0.0)
+        status, payload = client.json("GET", f"/predict?client=c1&{query}")
+        assert status == 400
+        assert "threshold= or limit=" in payload["error"]
+        status, _ = client.json(
+            "POST", f"/report?client=c1&url=B&ts=1.0&predict=1&{query}"
+        )
+        assert status == 400
+
+    @pytest.mark.parametrize(
+        "extra", [{"threshold": [0.5]}, {"threshold": "nan"}, {"limit": -2}]
+    )
+    def test_json_report_rejects_bad_predict_arguments(self, client, extra):
+        """A JSON body carries typed values: a list threshold (a
+        ``TypeError`` in ``float``), a NaN string and a negative limit are
+        each a 400, not a 500 or a sliced answer."""
+        body = json.dumps(
+            {"client": "c1", "url": "A", "ts": 0.0, "predict": 1, **extra}
+        ).encode()
+        status, payload = client.json("POST", "/report", body)
+        assert status == 400
+        assert "threshold= or limit=" in payload["error"]
+
+    def test_predict_accepts_the_bounds(self, client):
+        client.report("c1", "A", 0.0)
+        status, payload = client.predict("c1", threshold=0.0, limit=0)
+        assert (status, payload["predictions"]) == (200, [])
+        status, _ = client.predict("c1", threshold=1)
+        assert status == 200
+
     def test_unknown_path_404(self, client):
         status, _ = client.json("GET", "/nope")
         assert status == 404

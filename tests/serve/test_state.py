@@ -101,6 +101,26 @@ class TestObserveAndPredict:
         with pytest.raises(ValueError):
             make_tracker(max_session_clicks=0)
 
+    def test_predict_rejects_bad_threshold_and_limit(self):
+        """A negative limit would slice from the end (``[:-1]`` drops the
+        last prediction) and a NaN threshold never equals a memoised one:
+        both, and thresholds outside [0, 1], are caller errors."""
+        model = StandardPPM().fit(make_sessions([("A", "B"), ("A", "C"), ("A", "D")]))
+        tracker = ClientSessionTracker(ModelRef(model))
+        tracker.observe("c1", "A", 0.0)
+        predictions, _version = tracker.predict("c1", threshold=0.0)
+        assert [p.url for p in predictions] == ["B", "C", "D"]
+        for threshold in (float("nan"), float("inf"), -float("inf"), -0.1, 1.01):
+            with pytest.raises(ValueError, match="threshold"):
+                tracker.predict("c1", threshold=threshold)
+        with pytest.raises(ValueError, match="limit"):
+            tracker.predict("c1", threshold=0.0, limit=-1)
+        assert tracker.predict("c1", threshold=0.0, limit=0)[0] == []
+        assert [p.url for p in tracker.predict("c1", threshold=0.0, limit=2)[0]] == [
+            "B",
+            "C",
+        ]
+
 
 class TestSessionBoundaries:
     def test_idle_gap_starts_new_session(self):

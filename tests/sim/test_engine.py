@@ -264,3 +264,65 @@ class TestClientSeparability:
             assert sum(getattr(part, name) for part in parts) == getattr(
                 full, name
             ), name
+
+
+class TestPinnedProxyRuns:
+    """Proxy-mode counters on a seeded lab, every client and a subset,
+    pinned to values recorded with the URL-keyed replay loops (the
+    repository benchmark replays client mode only)."""
+
+    FIELDS = (
+        "requests",
+        "hits",
+        "browser_hits",
+        "proxy_hits",
+        "prefetch_hits",
+        "popular_prefetch_hits",
+        "shadow_hits",
+        "demand_miss_bytes",
+        "prefetch_bytes",
+        "prefetch_used_bytes",
+        "prefetches_issued",
+        "predictions_made",
+        "latency_seconds",
+        "shadow_latency_seconds",
+        "path_utilization",
+    )
+
+    PINNED = {
+        ("pb", "all"): (
+            313, 226, 67, 159, 17, 13, 209, 3468185, 337796, 190672, 31, 716,
+            54.90330945491723, 62.07733389053552, 0.23008849557522124,
+        ),
+        ("pb", "every third"): (
+            95, 57, 20, 37, 8, 7, 49, 1510788, 200831, 101063, 15, 209,
+            23.951189039311405, 27.409922005384434, 0.17699115044247787,
+        ),
+        ("standard", "all"): (
+            313, 227, 67, 160, 18, 16, 209, 3121229, 965694, 537628, 45, 250,
+            52.03111787049119, 62.07733389053552, 0.039473684210526314,
+        ),
+        ("standard", "every third"): (
+            95, 58, 20, 38, 9, 7, 49, 1377986, 523173, 233865, 20, 72,
+            22.64186759472126, 27.409922005384434, 0.017543859649122806,
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def lab(self):
+        return WorkloadLab("nasa-like", total_days=3, seed=7, scale=0.1)
+
+    @pytest.mark.parametrize("model_key, subset", sorted(PINNED))
+    def test_counters_match_the_recorded_run(self, lab, model_key, subset):
+        browsers = tuple(lab.browser_clients())
+        clients = browsers if subset == "all" else browsers[::3]
+        simulator = PrefetchSimulator(
+            lab.model(model_key, 2),
+            lab.url_sizes,
+            lab.latency(2),
+            lab.config_for(model_key),
+            popularity=lab.popularity(2),
+        )
+        result = simulator.run_proxy(lab.split(2).test_requests, clients=clients)
+        got = tuple(getattr(result, name) for name in self.FIELDS)
+        assert got == self.PINNED[model_key, subset]
