@@ -900,7 +900,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"bootstrapping from {args.train_days} day(s) of {args.profile}",
             file=sys.stderr,
         )
-        server = PrefetchServer(bootstrap_sessions=list(trace.sessions), **kwargs)
+        server = PrefetchServer(bootstrap_sessions=trace.sessions, **kwargs)
     if args.wal_dir is not None:
         # Replay everything journalled past the snapshot boundary before
         # accepting traffic: acknowledged reports survive a crash.

@@ -67,9 +67,10 @@ class PPMModel(ABC):
     def fit(self, sessions: Iterable[Session]) -> "PPMModel":
         """Build the prediction tree from training sessions.
 
-        Accepts a session view (:class:`~repro.trace.columnar.SessionView`,
-        read through its columns) or any iterable of :class:`Session`
-        objects; either becomes one :class:`SessionCorpus`, whose symbol
+        Accepts a session view (:class:`~repro.trace.columnar.SessionView`)
+        or a :class:`~repro.trace.columnar.SessionPaths` corpus, read
+        through their columns, or any iterable of :class:`Session`
+        objects; each becomes one :class:`SessionCorpus`, whose symbol
         table the model keeps.  Refitting replaces the tree.  Returns
         ``self`` so calls chain.
         """

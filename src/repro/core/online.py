@@ -19,7 +19,7 @@ regimes a production prefetching server needs:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Iterable
+from typing import Callable, Deque, Iterable, Sequence
 
 from repro.core.base import PPMModel
 from repro.core.lrs import LRSPPM
@@ -27,7 +27,20 @@ from repro.core.pb import PopularityBasedPPM
 from repro.core.popularity import PopularityTable
 from repro.core.standard import StandardPPM
 from repro.errors import ModelError
+from repro.trace.columnar import SessionPaths, SessionView
 from repro.trace.sessions import Session
+
+
+def session_day(sessions: Iterable[Session]) -> Sequence[Session]:
+    """One day of sessions as :class:`RollingModelManager` keeps it.
+
+    A session view (:class:`~repro.trace.columnar.SessionView`) stays
+    columns and a tuple is kept as given; any other iterable — a list, a
+    one-shot iterator — is read once into a tuple.
+    """
+    if isinstance(sessions, (tuple, SessionView)):
+        return sessions
+    return tuple(sessions)
 
 
 def update_model(model: PPMModel, sessions: Iterable[Session]) -> PPMModel:
@@ -55,7 +68,7 @@ def update_model(model: PPMModel, sessions: Iterable[Session]) -> PPMModel:
     if isinstance(model, (PopularityBasedPPM, StandardPPM)):
         # Both models fold sessions straight into their store, bumping the
         # mutation counter so live prediction cursors resync.
-        model.fold_sessions(list(sessions))
+        model.fold_sessions(sessions)
         return model
     # Generic fallback: models built from height-bounded suffix inserts.
     raise ModelError(
@@ -96,7 +109,7 @@ class RollingModelManager:
         self.model_factory = model_factory
         self.window_days = window_days
         self.refit_every = refit_every
-        self._window: Deque[tuple[Session, ...]] = deque(maxlen=window_days)
+        self._window: Deque[Sequence[Session]] = deque(maxlen=window_days)
         self._model: PPMModel | None = None
         self._popularity: PopularityTable | None = None
         self._advances_since_refit = 0
@@ -121,7 +134,8 @@ class RollingModelManager:
 
     @property
     def window_sessions(self) -> list[Session]:
-        """Every session currently retained, oldest day first."""
+        """Every session currently retained, oldest day first (a view
+        day's sessions are built when this is read)."""
         return [session for day in self._window for session in day]
 
     @property
@@ -131,9 +145,11 @@ class RollingModelManager:
     # -- maintenance -----------------------------------------------------------
 
     def _refit(self) -> None:
-        sessions = self.window_sessions
-        self._popularity = PopularityTable.from_sessions(sessions)
-        self._model = self.model_factory(self._popularity).fit(sessions)
+        # The popularity count and the fit read one column corpus of the
+        # whole window, so a view day never becomes Session objects.
+        window = SessionPaths.concat(self._window)
+        self._popularity = PopularityTable.from_sessions(window)
+        self._model = self.model_factory(self._popularity).fit(window)
         self._advances_since_refit = 0
         self.refit_count += 1
 
@@ -144,6 +160,9 @@ class RollingModelManager:
         schedule rebuilds from scratch; other days use the incremental
         update when the model class supports it.
 
+        The day is kept as :func:`session_day` gives it: a session view
+        stays columns through the window, the refit and the fold.
+
         An *empty* day (a quiet server interval with no completed
         sessions) still occupies a window slot, but never triggers a refit
         on its own and leaves the model and its popularity grading
@@ -153,9 +172,9 @@ class RollingModelManager:
         """
         window_was_full = len(self._window) == self.window_days
         dropped = self._window[0] if window_was_full else ()
-        # One tuple serves the window and the fold, so a session view is
-        # built into objects once.
-        sessions = tuple(sessions)
+        # One sequence serves the window and the fold, so a one-shot
+        # iterator is read once.
+        sessions = session_day(sessions)
         self._window.append(sessions)
         if not sessions:
             if self._model is not None and not dropped:

@@ -30,7 +30,7 @@ predicted in addition to the ordinary longest-match children.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro import params
 from repro.core.base import PPMModel
@@ -38,6 +38,7 @@ from repro.core.popularity import PopularityTable
 from repro.core.prediction import Prediction, PredictionCursor
 from repro.kernel.bulk import SessionCorpus, build_branch_trie, symbol_grades
 from repro.kernel.prune import prune_dense
+from repro.trace.columnar import session_url_ids
 from repro.trace.sessions import Session
 
 
@@ -146,23 +147,6 @@ class PopularityBasedPPM(PPMModel):
                     elif idx not in links:
                         links.append(idx)
 
-    def _insert_sessions(self, sessions: list[Session]) -> None:
-        """Intern and insert every session's branches (rules 1-4)."""
-        symbols = self._symbols
-        intern = symbols.intern_sequence
-        url_of = symbols.url
-        grade_of = self.popularity.grade
-        # Grade per symbol id, looked up once per distinct URL ever.
-        sym_grades: list[int] = []
-        for session in sessions:
-            ids = intern(session.urls)
-            while len(sym_grades) < len(symbols):
-                sym_grades.append(grade_of(url_of(len(sym_grades))))
-            grades = [sym_grades[sym] for sym in ids]
-            for position in range(len(ids)):
-                if position == 0 or grades[position] > grades[position - 1]:
-                    self._insert_branch(ids, position, grades)
-
     def _build(self, corpus: SessionCorpus) -> None:
         # Bulk-build rules 1-4 over deduplicated sessions; duplicate
         # sessions repeat no branch and create no new special link, so
@@ -183,13 +167,25 @@ class PopularityBasedPPM(PPMModel):
             max_count=self.prune_absolute_count,
         )
 
-    def fold_sessions(self, sessions: list[Session]) -> None:
+    def fold_sessions(self, sessions: Iterable[Session]) -> None:
         """Fold new sessions in under the existing grading (no re-pruning).
 
         The cheap between-rebuilds update :func:`repro.core.online.update_model`
-        applies.
+        applies: each session's branches go in by rules 1-4.  Reads the
+        sessions' columns (:func:`session_url_ids`), so a session view
+        folds without building objects.
         """
-        self._insert_sessions(sessions)
+        ids, lengths, table = session_url_ids(sessions)
+        ids = self._symbols.intern_ids(ids, table)
+        grades = symbol_grades(self._symbols, self.popularity.grade)[ids].tolist()
+        ids = ids.tolist()
+        end = 0
+        for length in lengths.tolist():
+            first, end = end, end + length
+            path, path_grades = ids[first:end], grades[first:end]
+            for position in range(length):
+                if position == 0 or path_grades[position] > path_grades[position - 1]:
+                    self._insert_branch(path, position, path_grades)
         self._mutations += 1
 
     # -- prediction ----------------------------------------------------------

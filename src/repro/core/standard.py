@@ -17,9 +17,12 @@ of Tables 1 and 2).
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro import params
 from repro.core.base import PPMModel
 from repro.kernel.bulk import SessionCorpus, build_ngram_trie
+from repro.trace.columnar import session_url_ids
 from repro.trace.sessions import Session
 
 
@@ -50,21 +53,26 @@ class StandardPPM(PPMModel):
             corpus.sequences, max_height=self.max_height, weights=corpus.weights
         )
 
-    def fold_sessions(self, sessions: list[Session]) -> None:
-        """Fold new sessions in — the standard tree is strictly additive."""
+    def fold_sessions(self, sessions: Iterable[Session]) -> None:
+        """Fold new sessions in — the standard tree is strictly additive.
+
+        Reads the sessions' columns (:func:`session_url_ids`), so a
+        session view folds without building objects.
+        """
+        ids, lengths, table = session_url_ids(sessions)
+        ids = self._symbols.intern_ids(ids, table).tolist()
         insert = self._store.insert_suffix
-        intern = self._symbols.intern_sequence
         max_height = self.max_height
-        for session in sessions:
-            ids = intern(session.urls)
-            n = len(ids)
+        end = 0
+        for length in lengths.tolist():
+            first, end = end, end + length
             if max_height is None:
-                for start in range(n):
-                    insert(ids, start, n)
+                for start in range(first, end):
+                    insert(ids, start, end)
             else:
-                for start in range(n):
+                for start in range(first, end):
                     stop = start + max_height
-                    insert(ids, start, n if stop > n else stop)
+                    insert(ids, start, end if stop > end else stop)
         self._mutations += 1
 
     @classmethod

@@ -80,11 +80,8 @@ class SessionCorpus:
     ) -> "SessionCorpus":
         """Renumber URL ids (indices into ``url_table``, session after
         session) to first-seen symbols and deduplicate the sessions."""
-        seen, first = np.unique(url_ids, return_index=True)
-        seen = seen[np.argsort(first)]
-        remap = np.zeros(len(url_table), dtype=np.int64)
-        remap[seen] = np.arange(len(seen), dtype=np.int64)
-        ids = remap[url_ids]
+        symbols = SymbolTable()
+        ids = symbols.intern_ids(url_ids, url_table)
         # Sessions deduplicate on their id bytes: no Python int per click.
         raw = ids.tobytes()
         ends = (np.cumsum(lengths) * ids.itemsize).tolist()
@@ -93,7 +90,7 @@ class SessionCorpus:
         )
         sequences = [np.frombuffer(key, dtype=np.int64) for key in unique]
         return cls(
-            symbols=SymbolTable(url_table[i] for i in seen.tolist()),
+            symbols=symbols,
             ids=ids,
             lengths=lengths,
             sequences=sequences,

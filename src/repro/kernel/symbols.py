@@ -56,6 +56,24 @@ class SymbolTable:
             append(sym)
         return tuple(out)
 
+    def intern_ids(self, ids: np.ndarray, table: Sequence[str]) -> np.ndarray:
+        """Intern ``table[i]`` for every ``i`` in ``ids`` and return each
+        one's symbol id.
+
+        New URLs are numbered in the order ``ids`` first mentions them,
+        which is the numbering interning the URLs one at a time gives.
+        ``table`` must hold no URL twice.
+        """
+        seen, first = np.unique(ids, return_index=True)
+        seen = seen[np.argsort(first)]
+        remap = np.zeros(len(table), dtype=np.int64)
+        remap[seen] = np.fromiter(
+            (self.intern(table[i]) for i in seen.tolist()),
+            dtype=np.int64,
+            count=len(seen),
+        )
+        return remap[ids]
+
     # -- lookups -------------------------------------------------------------
 
     def get(self, url: str) -> int | None:

@@ -169,7 +169,7 @@ def _run_serving_phase(
         )
 
         server = PrefetchServer(
-            bootstrap_sessions=list(split.train_sessions),
+            bootstrap_sessions=split.train_sessions,
             snapshot_path=snapshot_path,
             request_timeout_s=_REQUEST_TIMEOUT_S,
             max_inflight=_MAX_INFLIGHT,

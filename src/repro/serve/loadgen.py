@@ -49,6 +49,7 @@ from repro import params
 from repro.errors import ServeError
 from repro.resilience.faults import fire
 from repro.synth.generator import generate_trace
+from repro.trace.columnar import SessionView
 from repro.trace.dataset import Trace
 
 #: (client, prebuilt request frames) — one frame list per page view.
@@ -540,7 +541,7 @@ def run_loadgen(
     handle = None
     record_source = None
     event_list: list[_Event] | None = None
-    bootstrap_sessions: list | None = None
+    bootstrap_sessions: SessionView | None = None
 
     if workload is not None:
         import itertools
@@ -555,9 +556,9 @@ def run_loadgen(
             # replayed live — the classic warm-up-then-serve shape.
             source = stream.events(train_events + events)
             head = list(itertools.islice(source, train_events))
-            bootstrap_sessions = list(
-                Trace(head, name=stream.name or "workload").sessions
-            )
+            bootstrap_sessions = Trace(
+                head, name=stream.name or "workload"
+            ).sessions
             record_source = source
         else:
             record_source = stream.events(events)
@@ -571,7 +572,7 @@ def run_loadgen(
         # Bootstrapping through the server seeds the updater's rolling
         # window with the training day, so a mid-run /admin/refresh has a
         # real window to rebuild from.
-        bootstrap_sessions = list(split.train_sessions)
+        bootstrap_sessions = split.train_sessions
     else:
         trace = generate_trace(profile, days=days, seed=seed, scale=scale)
         replay = trace

@@ -44,7 +44,7 @@ import logging
 import signal
 import threading
 import time
-from typing import Awaitable, Callable
+from typing import Awaitable, Callable, Iterable
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro import params
@@ -56,6 +56,7 @@ from repro.serve.snapshot import SnapshotManager
 from repro.serve.state import ClientSessionTracker, ModelRef, check_predict_args
 from repro.serve.updater import ModelUpdater
 from repro.serve.wal import ReportJournal, read_journal, replay_into_tracker
+from repro.trace.sessions import Session
 
 logger = logging.getLogger("repro.serve")
 
@@ -171,7 +172,10 @@ class PrefetchServer:
         day.
     bootstrap_sessions:
         Training sessions to fit the initial model from (used when
-        ``model`` is None).
+        ``model`` is None): a session view, which stays columns through
+        the fit and the rolling window, or any iterable of sessions,
+        read once (:func:`~repro.core.online.session_day`).  An empty
+        one raises :class:`~repro.errors.ServeError`.
     host / port:
         Bind address; port 0 picks a free port (read :attr:`port` after
         :meth:`start`).
@@ -219,7 +223,7 @@ class PrefetchServer:
         self,
         model: PPMModel | None = None,
         *,
-        bootstrap_sessions: "list | None" = None,
+        bootstrap_sessions: "Iterable[Session] | None" = None,
         host: str = "127.0.0.1",
         port: int = 0,
         idle_timeout_s: float = params.SESSION_IDLE_TIMEOUT_S,
@@ -246,19 +250,24 @@ class PrefetchServer:
         self.port: int | None = None
         manager = None
         if model is None:
-            if not bootstrap_sessions:
+            from repro.core.online import RollingModelManager, session_day
+            from repro.serve.updater import default_model_factory
+
+            day = (
+                session_day(bootstrap_sessions)
+                if bootstrap_sessions is not None
+                else ()
+            )
+            if not day:
                 raise ServeError(
                     "PrefetchServer needs a fitted model or bootstrap_sessions"
                 )
-            from repro.core.online import RollingModelManager
-            from repro.serve.updater import default_model_factory
-
             manager = RollingModelManager(
                 model_factory or default_model_factory,
                 window_days=window_days,
                 refit_every=1,
             )
-            model = manager.advance_day(list(bootstrap_sessions))
+            model = manager.advance_day(day)
         self.ref = ModelRef(model)
         self.tracker = ClientSessionTracker(
             self.ref,

@@ -121,16 +121,7 @@ class ModelUpdater:
         self.last_refresh_duration_s = 0.0
         self.last_refresh_error: str | None = None
 
-    # -- bootstrap ------------------------------------------------------------
-
-    def seed(self, sessions: list[Session]) -> PPMModel:
-        """Fit the first model from bootstrap sessions (synchronous).
-
-        Seeds the rolling window with the bootstrap day and returns the
-        fitted model; the caller publishes it (or hands it to the server
-        constructor).
-        """
-        return self._manager.advance_day(sessions)
+    # -- state ----------------------------------------------------------------
 
     @property
     def pending_sessions(self) -> int:

@@ -1153,15 +1153,62 @@ def request_url_ids(
     return ids, symbols.urls()
 
 
+class SessionPaths:
+    """Sessions held only as the columns :func:`session_url_ids` returns.
+
+    ``ids`` index ``table``, session after session, and ``lengths`` are
+    the clicks per session.  :meth:`concat` joins several days into one
+    such corpus, which a fit and a popularity count then read without
+    building a :class:`Session`.
+    """
+
+    __slots__ = ("ids", "lengths", "table")
+
+    def __init__(
+        self, ids: np.ndarray, lengths: np.ndarray, table: Sequence[str]
+    ) -> None:
+        self.ids = ids
+        self.lengths = lengths
+        self.table = table
+
+    @classmethod
+    def concat(cls, days: Iterable[Iterable[Session]]) -> "SessionPaths":
+        """Every session of ``days``, day after day, as one corpus.
+
+        Views over one trace share its URL table, so their ids are joined
+        as they are; days with different tables (object days, which are
+        interned, or views of other traces) are renumbered into one merged
+        table.
+        """
+        parts = [session_url_ids(day) for day in days]
+        tables = {id(table): table for _ids, _lengths, table in parts}
+        if len(tables) == 1:
+            (table,) = tables.values()
+            ids = [part[0] for part in parts]
+        else:
+            symbols = SymbolTable()
+            ids = [symbols.intern_ids(i, t) for i, _lengths, t in parts]
+            table = symbols.urls()
+        empty = np.zeros(0, dtype=np.int64)
+        return cls(
+            np.concatenate([empty, *ids]),
+            np.concatenate([empty, *(part[1] for part in parts)]),
+            table,
+        )
+
+
 def session_url_ids(
     sessions: Iterable[Session],
 ) -> tuple[np.ndarray, np.ndarray, Sequence[str]]:
     """Sessions in column form: the URL id of every click, session after
     session; the clicks per session; and the URL table the ids index.
 
-    A :class:`SessionView` reads its layout's request rows; any other
-    iterable of :class:`Session` objects is interned in first-seen order.
+    A :class:`SessionPaths` is that form already; a :class:`SessionView`
+    reads its layout's request rows; any other iterable of
+    :class:`Session` objects is interned in first-seen order.
     """
+    if isinstance(sessions, SessionPaths):
+        return sessions.ids, sessions.lengths, sessions.table
     if isinstance(sessions, SessionView):
         rows, lengths = sessions.layout.request_rows(sessions.indices)
         return sessions.columns.urls[rows], lengths, sessions.columns.url_table

@@ -52,6 +52,33 @@ class TestOnlineExperiment:
             assert rows[(model, "nightly")]["refits"] == 2
             assert rows[(model, "incremental")]["refits"] == 1
 
+    def test_defaults_reproduce_committed_table(self):
+        """benchmarks/results/ablation-online.txt, row for row.
+
+        The manager refits and folds view days straight from their
+        columns; every count and the hit ratio must stay as they were
+        when it built the days into Session objects.  Scale is pinned so
+        REPRO_BENCH_SCALE cannot move the rows.
+        """
+        result = run_experiment("ablation-online", scale=1.0)
+        rows = [
+            (
+                row["model"],
+                row["regime"],
+                row["refits"],
+                row["incremental_updates"],
+                row["node_count"],
+                round(row["hit_ratio"], 4),
+            )
+            for row in result.rows
+        ]
+        assert rows == [
+            ("pb", "nightly", 5, 0, 2916, 0.4263),
+            ("pb", "incremental", 1, 4, 10065, 0.4466),
+            ("standard", "nightly", 5, 0, 78143, 0.4195),
+            ("standard", "incremental", 1, 4, 78143, 0.4195),
+        ]
+
     def test_standard_incremental_identical_tree(self):
         result = run_experiment("ablation-online", train_days=2, scale=SCALE)
         rows = {(r["model"], r["regime"]): r for r in result.rows}

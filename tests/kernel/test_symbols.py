@@ -1,6 +1,9 @@
 """Unit tests for the URL symbol table."""
 
 import pickle
+import random
+
+import numpy as np
 
 from repro.kernel.symbols import SymbolTable
 
@@ -17,6 +20,22 @@ class TestInterning:
         table = SymbolTable()
         ids = table.intern_sequence(("/a", "/b", "/a"))
         assert ids == (0, 1, 0)
+
+    def test_intern_ids_equals_interning_one_at_a_time(self):
+        rng = random.Random(7)
+        urls = [f"/u{i}" for i in range(12)]
+        for _ in range(60):
+            table = rng.sample(urls, len(urls))
+            ids = np.array(
+                [rng.randrange(len(table)) for _ in range(rng.randrange(30))],
+                dtype=np.int64,
+            )
+            seeded = rng.sample(urls, rng.randrange(5))
+            bulk, loop = SymbolTable(seeded), SymbolTable(seeded)
+            assert bulk.intern_ids(ids, table).tolist() == [
+                loop.intern(table[i]) for i in ids.tolist()
+            ]
+            assert bulk.urls() == loop.urls()
 
     def test_seeded_constructor(self):
         table = SymbolTable(["/a", "/b"])

@@ -9,8 +9,9 @@ import pytest
 from repro.serve.server import PrefetchServer, ServerThread
 from repro.serve.snapshot import load_snapshot
 from repro.errors import ServeError
+from repro.trace.dataset import Trace
 
-from tests.helpers import make_sessions
+from tests.helpers import make_record, make_sessions
 from tests.serve.conftest import TRAIN, ServeClient, fitted_model
 
 
@@ -343,6 +344,22 @@ class TestLifecycle:
     def test_constructor_requires_model_or_sessions(self):
         with pytest.raises(ServeError):
             PrefetchServer()
+
+    @pytest.mark.parametrize(
+        "empty",
+        [
+            lambda: iter([]),
+            lambda: [],
+            # A session view over no day of a real trace.
+            lambda: Trace([make_record("/a.html")]).sessions_for_days([9]),
+        ],
+        ids=["iterator", "list", "view"],
+    )
+    def test_empty_bootstrap_rejected(self, empty):
+        # A one-shot iterator is read before the emptiness check: testing
+        # the iterator itself would publish a model fitted on nothing.
+        with pytest.raises(ServeError):
+            PrefetchServer(bootstrap_sessions=empty())
 
     def test_housekeeping_expires_and_folds(self):
         server = PrefetchServer(
