@@ -4,8 +4,9 @@ Measures the costs the durability tentpole is allowed to charge:
 
 * **serving overhead** — the same seeded loadgen replay against a spawned
   server with the journal off and on (default ``interval`` fsync
-  policy).  The acceptance bar from the ISSUE: journaling costs **at
-  most 10%** of loadgen throughput (``overhead_ratio >= 0.9``);
+  policy), in alternating pairs.  The acceptance bar: journaling costs
+  **at most 10%** of loadgen throughput (the median pair's
+  ``overhead_ratio >= 0.9``);
 * **append throughput** — raw ``ReportJournal.append_report`` rate per
   fsync policy (``off`` / ``interval`` / ``batch``), the floor under any
   serving path;
@@ -31,6 +32,8 @@ import pytest
 from harness import update_results
 
 TARGET_EVENTS = int(os.environ.get("REPRO_WAL_BENCH_EVENTS", 20_000))
+#: Journal-off / journal-on replay pairs behind the overhead ratio.
+OVERHEAD_PAIRS = 5
 #: Direct-append sample size (fixed: append cost is per-record).
 APPEND_RECORDS = 50_000
 #: Recovery-scan journal size.
@@ -56,42 +59,57 @@ def _loadgen(wal_dir: str | None) -> dict:
     )
 
 
-def _best_of(runs: int, wal_dir: str | None) -> dict:
-    """Best throughput of ``runs`` replays: the ratio compares costs,
-    so each side gets its least-interfered-with measurement."""
-    best = None
-    for _ in range(runs):
-        report = _loadgen(wal_dir)
-        assert report["failed_requests"] == 0
-        if best is None or report["requests_per_s"] > best["requests_per_s"]:
-            best = report
-    return best
-
-
 def test_serving_overhead_with_journal(tmp_path):
-    """Journaling every report before ack must cost <= 10% throughput."""
-    off = _best_of(2, None)
-    on = _best_of(2, str(tmp_path / "wal"))
-    ratio = on["requests_per_s"] / off["requests_per_s"]
+    """Journaling every report before ack must cost <= 10% throughput.
+
+    Journal-off and journal-on replays run in pairs, alternating which
+    side goes first, and the gate reads the median pair's ratio, so
+    load from the rest of a shared box lands on both sides of a pair
+    rather than on one side of the comparison.
+    """
+    pairs = []
+    for index in range(OVERHEAD_PAIRS):
+        wal_dir = str(tmp_path / f"wal-{index}")
+        order = (None, wal_dir) if index % 2 == 0 else (wal_dir, None)
+        runs = {}
+        for side in order:
+            report = _loadgen(side)
+            assert report["failed_requests"] == 0
+            runs[side is not None] = report
+        off, on = runs[False], runs[True]
+        pairs.append(
+            {
+                "first": "off" if order[0] is None else "on",
+                "requests_per_s_off": off["requests_per_s"],
+                "requests_per_s_on": on["requests_per_s"],
+                "ratio": round(on["requests_per_s"] / off["requests_per_s"], 3),
+                "latency_p99_ms_off": off["latency_ms"]["p99"],
+                "latency_p99_ms_on": on["latency_ms"]["p99"],
+            }
+        )
+    median = sorted(pairs, key=lambda pair: pair["ratio"])[len(pairs) // 2]
     payload = {
         "events": on["requests_total"],
-        "requests_per_s_wal_off": off["requests_per_s"],
-        "requests_per_s_wal_on": on["requests_per_s"],
-        "overhead_ratio": round(ratio, 3),
-        "latency_p99_ms_wal_off": off["latency_ms"]["p99"],
-        "latency_p99_ms_wal_on": on["latency_ms"]["p99"],
+        "pairs": pairs,
+        "requests_per_s_wal_off": median["requests_per_s_off"],
+        "requests_per_s_wal_on": median["requests_per_s_on"],
+        "overhead_ratio": median["ratio"],
+        "latency_p99_ms_wal_off": median["latency_p99_ms_off"],
+        "latency_p99_ms_wal_on": median["latency_p99_ms_on"],
     }
     update_results(
         "wal", "serving_overhead", payload, target_events=TARGET_EVENTS
     )
     print(
-        f"loadgen {off['requests_per_s']:,.0f} req/s journal-off vs "
-        f"{on['requests_per_s']:,.0f} req/s journal-on = "
-        f"{ratio:.3f}x retained"
+        "journal-on / journal-off loadgen throughput by pair: "
+        + ", ".join(f"{pair['ratio']:.3f}x" for pair in pairs)
+        + f"; median pair {median['requests_per_s_on']:,.0f} / "
+        f"{median['requests_per_s_off']:,.0f} req/s = "
+        f"{median['ratio']:.3f}x retained"
     )
-    # The ISSUE's acceptance bar, with a little slack at smoke scale
-    # where fixed startup costs amplify run-to-run noise.
-    assert ratio >= (0.9 if TARGET_EVENTS >= 20_000 else 0.8)
+    # The acceptance bar, with a little slack at smoke scale where fixed
+    # startup costs amplify run-to-run noise.
+    assert median["ratio"] >= (0.9 if TARGET_EVENTS >= 20_000 else 0.8)
 
 
 def test_append_throughput_per_policy(tmp_path):

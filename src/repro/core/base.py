@@ -61,6 +61,9 @@ class PPMModel(ABC):
         #: change invalidates it exactly like cursors.
         self._table = None
         self._table_mutations: int | None = None
+        #: ``(table, escape, step)``: the :meth:`node_predictor` step
+        #: :meth:`_predict_node` last used, kept until the table changes.
+        self._step: tuple | None = None
 
     # -- fitting -----------------------------------------------------------
 
@@ -146,9 +149,13 @@ class PPMModel(ABC):
         self, node: int, threshold: float, mark_used: bool, escape: bool
     ) -> list[Prediction]:
         """The API edge of the per-node step: mark usage, build objects."""
-        cut = self.node_predictor(escape=escape)(node, threshold)
+        table = self._compiled_table()
+        kept = self._step
+        if kept is None or kept[0] is not table or kept[1] != escape:
+            kept = self._step = (table, escape, self.node_predictor(escape=escape))
+        cut = kept[2](node, threshold)
         if mark_used:
-            self._compiled_table().mark(cut, self._store.used)
+            table.mark(cut, self._store.used)
         return list(cut.predictions(self._symbols.url))
 
     def predict(

@@ -75,6 +75,37 @@ _STATUS_REASONS = {
 }
 
 
+#: The head of the data plane's usual answer (200, JSON, keep-alive),
+#: formatted once; ``%`` fills in its Content-Length.
+_JSON_OK_HEAD = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    b"Content-Length: %d\r\nConnection: keep-alive\r\n\r\n"
+)
+
+#: Entries each memo below holds at most.  Bounded so an adversarial
+#: request stream cannot grow one without limit; at the bound a memo
+#: stops filling and a miss pays the computation it always did.
+_MEMO_LIMIT = 100_000
+#: Percent-decoded query keys and values.
+_decoded: dict[str, str] = {}
+#: JSON-encoded client ids.
+_json_strings: dict = {}
+#: JSON fragments, one per distinct Prediction tuple: compiled-table rows
+#: hand back the same tuples request after request.
+_prediction_fragments: dict = {}
+
+
+def _memo(cache: dict, key, compute: Callable):
+    """``compute(key)``, kept in ``cache`` while it holds fewer than
+    :data:`_MEMO_LIMIT` entries."""
+    value = cache.get(key)
+    if value is None:
+        value = compute(key)
+        if len(cache) < _MEMO_LIMIT:
+            cache[key] = value
+    return value
+
+
 def _json_body(status: int, payload: dict) -> tuple[int, str, bytes]:
     return status, _JSON, json.dumps(payload, separators=(",", ":")).encode()
 
@@ -82,16 +113,31 @@ def _json_body(status: int, payload: dict) -> tuple[int, str, bytes]:
 def _split_target(target: str) -> tuple[str, dict[str, str]]:
     """Fast-lane twin of ``urlsplit`` + ``parse_qsl``.
 
-    The common request target — ``&``-separated pairs, percent-escapes
-    only inside values — is handled with string splits and at most one
+    The common request target — origin form (one leading ``/``),
+    ``&``-separated pairs — is handled with string splits and a memoised
     ``unquote`` per escaped field, instead of ``parse_qsl``'s
-    unconditional decode of every key and value.  Plus-as-space or a
-    fragment falls back to the stdlib parsers.  Matches
+    unconditional decode of every key and value.  Any other form (the
+    absolute form ``http://host/path``, ``//``, ``*``), plus-as-space, a
+    fragment, or a tab or line break (which ``urlsplit`` deletes) falls
+    back to the stdlib parsers.  Matches ``urlsplit(target).path`` and
     ``dict(parse_qsl(urlsplit(target).query))`` exactly: blank values and
-    bare keys are dropped, the last duplicate wins.
+    bare keys are dropped, the last duplicate wins.  A target
+    ``urlsplit`` rejects (an unparsable authority such as ``//[``)
+    raises :class:`~repro.errors.ServeError`, which is answered 400.
     """
-    if "+" in target or "#" in target:
-        split = urlsplit(target)
+    if (
+        target[:1] != "/"
+        or target[1:2] == "/"
+        or "+" in target
+        or "#" in target
+        or "\t" in target
+        or "\r" in target
+        or "\n" in target
+    ):
+        try:
+            split = urlsplit(target)
+        except ValueError as exc:
+            raise ServeError(f"malformed request target: {exc}") from None
         return split.path, dict(parse_qsl(split.query))
     path, _, qs = target.partition("?")
     query: dict[str, str] = {}
@@ -100,21 +146,67 @@ def _split_target(target: str) -> tuple[str, dict[str, str]]:
             key, eq, value = pair.partition("=")
             if eq and value:
                 if "%" in value:
-                    value = unquote(value)
+                    value = _memo(_decoded, value, unquote)
                 if "%" in key:
-                    key = unquote(key)
+                    key = _memo(_decoded, key, unquote)
                 query[key] = value
     return path, query
+
+
+def _is_admin(target: str) -> bool:
+    """Whether ``target``'s path is under ``/admin/``: the admin lane."""
+    if target.startswith("/admin/"):
+        return True
+    if target[:1] == "/" and target[1:2] != "/":
+        return False  # origin form: the path is a prefix of the target
+    try:
+        return _split_target(target)[0].startswith("/admin/")
+    except ServeError:
+        return False  # the data plane answers it 400
 
 
 def _error_body(status: int, message: str) -> tuple[int, str, bytes]:
     return _json_body(status, {"error": message})
 
 
-#: Largest request body the server reads: the StreamReader's default
-#: buffer limit, which already bounds the request head.  A report body is
-#: a few dozen bytes of JSON; a longer declared length is refused before
-#: any of it is read.
+def _failure(exc: Exception) -> tuple[int, str, bytes]:
+    """The answer to a dispatch that raised: 400 for a request the
+    program refused (:class:`~repro.errors.ReproError`), else 500."""
+    if isinstance(exc, ReproError):
+        return _error_body(400, str(exc))
+    logger.error("request handler failed", exc_info=exc)
+    return _error_body(500, f"{type(exc).__name__}: {exc}")
+
+
+def _response(
+    status: int,
+    content_type: str,
+    payload: bytes,
+    close: bool,
+    retry_after: float | None,
+) -> bytes:
+    """One whole HTTP/1.1 response, head and body."""
+    if status == 200 and content_type == _JSON and not close:
+        return _JSON_OK_HEAD % len(payload) + payload
+    head = (
+        f"HTTP/1.1 {status} {_STATUS_REASONS.get(status, 'Unknown')}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+    )
+    if retry_after is not None:
+        head += f"Retry-After: {max(1, round(retry_after))}\r\n"
+    head += f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n"
+    return head.encode("latin-1") + payload
+
+
+#: Longest request head the server frames, and the most a connection
+#: buffers while a task-lane request holds it (``asyncio``'s default
+#: stream buffer limit).
+_MAX_HEAD_BYTES = 64 * 1024
+
+#: Largest request body the server reads.  A report body is a few dozen
+#: bytes of JSON; a longer declared length is refused before any of it is
+#: read.
 _MAX_BODY_BYTES = 64 * 1024
 
 
@@ -135,28 +227,16 @@ def _content_length(headers: dict[str, str]) -> int | None:
         return None
 
 
-#: Memoised JSON fragments, one per distinct Prediction tuple.  Bounded so
-#: an adversarial URL stream cannot grow it without limit; at the bound the
-#: cache stops filling and misses just pay the json.dumps they always did.
-_PREDICTION_FRAGMENT_LIMIT = 100_000
-_prediction_fragments: dict = {}
-
-
-def _prediction_fragment(p) -> str:
-    fragment = _prediction_fragments.get(p)
-    if fragment is None:
-        fragment = json.dumps(
-            {
-                "url": p.url,
-                "probability": round(p.probability, 6),
-                "order": p.order,
-                "source": p.source,
-            },
-            separators=(",", ":"),
-        )
-        if len(_prediction_fragments) < _PREDICTION_FRAGMENT_LIMIT:
-            _prediction_fragments[p] = fragment
-    return fragment
+def _prediction_json(p) -> str:
+    return json.dumps(
+        {
+            "url": p.url,
+            "probability": round(p.probability, 6),
+            "order": p.order,
+            "source": p.source,
+        },
+        separators=(",", ":"),
+    )
 
 
 class PrefetchServer:
@@ -317,7 +397,7 @@ class PrefetchServer:
         self._inflight = 0
         self._server: asyncio.AbstractServer | None = None
         self._housekeeping: asyncio.Task | None = None
-        self._connections: set[asyncio.StreamWriter] = set()
+        self._connections: set[_HttpConnection] = set()
         self._started_at = 0.0
         self.requests_total: dict[str, int] = {}
         self.errors_total = 0
@@ -365,8 +445,8 @@ class PrefetchServer:
         """Bind, start accepting, and launch the housekeeping task."""
         if self._server is not None:
             raise ServeError("server already started")
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _HttpConnection(self), self.host, self._requested_port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self._started_at = time.time()
@@ -383,10 +463,12 @@ class PrefetchServer:
             self._housekeeping = None
         if self._server is not None:
             self._server.close()
+            # Closed before the wait: from Python 3.12.1 wait_closed()
+            # also waits for every open connection to close.
+            for connection in list(self._connections):
+                connection.transport.close()
             await self._server.wait_closed()
             self._server = None
-        for writer in list(self._connections):
-            writer.close()
         expired = self.tracker.expire_all()
         self.updater.add_sessions(self.tracker.drain_completed())
         folded = self.updater.fold_pending()
@@ -477,198 +559,6 @@ class PrefetchServer:
         except KeyboardInterrupt:
             pass
 
-    # -- connection handling ---------------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                # One readuntil for the whole head: CRLF framing, as every
-                # HTTP/1.1 client sends it.
-                try:
-                    head = await reader.readuntil(b"\r\n\r\n")
-                except asyncio.IncompleteReadError as exc:
-                    if exc.partial:
-                        self.errors_total += 1
-                        await self._write_response(
-                            writer,
-                            *_error_body(400, "malformed request line"),
-                            close=True,
-                        )
-                    break
-                except asyncio.LimitOverrunError:
-                    self.errors_total += 1
-                    await self._write_response(
-                        writer,
-                        *_error_body(400, "request head too large"),
-                        close=True,
-                    )
-                    break
-                lines = head[:-4].split(b"\r\n")
-                request_line = lines[0]
-                headers: dict[str, str] = {}
-                for line in lines[1:]:
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                try:
-                    method, target, _ = (
-                        request_line.decode("latin-1").split(" ", 2)
-                    )
-                except ValueError:
-                    self.errors_total += 1
-                    await self._write_response(
-                        writer, *_error_body(400, "malformed request line"), close=True
-                    )
-                    break
-                length = _content_length(headers)
-                if length is None:
-                    self.errors_total += 1
-                    await self._write_response(
-                        writer,
-                        *_error_body(400, "malformed Content-Length"),
-                        close=True,
-                    )
-                    break
-                if length > _MAX_BODY_BYTES:
-                    self.errors_total += 1
-                    await self._write_response(
-                        writer,
-                        *_error_body(
-                            413,
-                            f"request body over {_MAX_BODY_BYTES} bytes",
-                        ),
-                        close=True,
-                    )
-                    break
-                body = b""
-                if length:
-                    # A body shorter than its Content-Length would
-                    # otherwise hold the connection forever.
-                    try:
-                        async with asyncio.timeout(self.request_timeout_s):
-                            body = await reader.readexactly(length)
-                    except TimeoutError:
-                        self.errors_total += 1
-                        await self._write_response(
-                            writer,
-                            *_error_body(
-                                408,
-                                "request body not received within "
-                                f"{self.request_timeout_s:.1f}s",
-                            ),
-                            close=True,
-                        )
-                        break
-                close = headers.get("connection", "").lower() == "close"
-                retry_after: float | None = None
-                if self._inflight >= self.max_inflight:
-                    # Bounded-queue load shedding: refuse fast and
-                    # honestly rather than queueing without limit.
-                    self.shed_total += 1
-                    retry_after = self.retry_after_s
-                    status, content_type, payload = _error_body(
-                        503, "server overloaded; retry later"
-                    )
-                else:
-                    self._inflight += 1
-                    try:
-                        if params.FAULT_PLAN is None and not target.startswith(
-                            "/admin"
-                        ):
-                            # Data plane: these handlers are synchronous,
-                            # so a wait_for deadline could never preempt
-                            # them — dispatch inline, no per-request task
-                            # or timer.  An armed fault plan takes the
-                            # wait_for lane below so injected stalls
-                            # still trip the deadline.
-                            status, content_type, payload = (
-                                self._dispatch_fast(method.upper(), target, body)
-                            )
-                        elif target.startswith("/admin"):
-                            # The ops plane is exempt from the data-plane
-                            # deadline: cancelling a refresh mid-flight
-                            # would corrupt its breaker bookkeeping, and
-                            # rebuild/snapshot stalls already run under
-                            # their own supervised deadlines.
-                            status, content_type, payload = await self._dispatch(
-                                method.upper(), target, body
-                            )
-                        else:
-                            status, content_type, payload = (
-                                await asyncio.wait_for(
-                                    self._dispatch(method.upper(), target, body),
-                                    timeout=self.request_timeout_s,
-                                )
-                            )
-                    except asyncio.TimeoutError:
-                        self.request_timeouts_total += 1
-                        retry_after = self.retry_after_s
-                        status, content_type, payload = _error_body(
-                            503,
-                            f"request exceeded {self.request_timeout_s:.1f}s"
-                            " deadline",
-                        )
-                    except ReproError as exc:
-                        status, content_type, payload = _error_body(
-                            400, str(exc)
-                        )
-                    except Exception as exc:  # pragma: no cover - defensive
-                        status, content_type, payload = _error_body(
-                            500, f"{type(exc).__name__}: {exc}"
-                        )
-                    finally:
-                        self._inflight -= 1
-                if status >= 400:
-                    self.errors_total += 1
-                await self._write_response(
-                    writer,
-                    status,
-                    content_type,
-                    payload,
-                    close=close,
-                    retry_after=retry_after,
-                )
-                if close:
-                    break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            self._connections.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    @staticmethod
-    async def _write_response(
-        writer: asyncio.StreamWriter,
-        status: int,
-        content_type: str,
-        payload: bytes,
-        *,
-        close: bool,
-        retry_after: float | None = None,
-    ) -> None:
-        reason = _STATUS_REASONS.get(status, "Unknown")
-        connection = "close" if close else "keep-alive"
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-        )
-        if retry_after is not None:
-            head += f"Retry-After: {max(1, round(retry_after))}\r\n"
-        head += f"Connection: {connection}\r\n\r\n"
-        writer.write(head.encode("latin-1") + payload)
-        await writer.drain()
-
     # -- routing ---------------------------------------------------------------
 
     async def _dispatch(
@@ -684,9 +574,9 @@ class PrefetchServer:
             # Injected handler stall: holds an in-flight slot (driving the
             # shed path) and overruns the request deadline.
             await asyncio.sleep(spec.delay_s)
-        if not target.startswith("/admin/"):
-            return self._dispatch_fast(method, target, body)
         path, _ = _split_target(target)
+        if not path.startswith("/admin/"):
+            return self._dispatch_fast(method, target, body)
         self.requests_total[path] = self.requests_total.get(path, 0) + 1
         if method != "POST":
             return _error_body(405, "admin endpoints use POST")
@@ -697,9 +587,9 @@ class PrefetchServer:
     ) -> tuple[int, str, bytes]:
         """The data-plane route table: every path but ``/admin/*``.
 
-        Synchronous, so the connection loop calls it inline with no
-        per-request task or timer; :meth:`_dispatch` hands it every
-        non-admin target it receives.
+        Synchronous, so a connection calls it inline from
+        ``data_received`` with no per-request task or timer;
+        :meth:`_dispatch` hands it every non-admin target it receives.
         """
         path, query = _split_target(target)
         self.requests_total[path] = self.requests_total.get(path, 0) + 1
@@ -771,15 +661,19 @@ class PrefetchServer:
             client, threshold=threshold, limit=limit
         )
         self.predictions_total += len(predictions)
-        # The per-prediction fragments are memoised (compiled-table rows
-        # hand back the same Prediction tuples request after request), so
-        # the body is a join of cached strings, not a json.dumps per call.
+        # The client id and every prediction are memoised JSON, so the
+        # body is a join of cached strings, not a json.dumps per call.
         body = (
             '{"client":%s,"model_version":%d,"predictions":[%s]}'
             % (
-                json.dumps(client),
+                _memo(_json_strings, client, json.dumps),
                 version,
-                ",".join(map(_prediction_fragment, predictions)),
+                ",".join(
+                    [
+                        _memo(_prediction_fragments, p, _prediction_json)
+                        for p in predictions
+                    ]
+                ),
             )
         ).encode()
         return 200, _JSON, body
@@ -1002,6 +896,250 @@ class PrefetchServer:
             version = self.snapshots.reload()
             return _json_body(200, {"ok": True, "model_version": version})
         return _error_body(404, f"unknown admin endpoint {path!r}")
+
+
+class _HttpConnection(asyncio.Protocol):
+    """One client connection, framed and answered inside ``data_received``.
+
+    Every complete request head and body in the buffer is framed in
+    arrival order.  A data-plane request is answered inline through
+    :meth:`PrefetchServer._dispatch_fast`; each response is one
+    ``transport.write``.  An ``/admin/*`` or fault-armed request runs as
+    one task through :meth:`PrefetchServer._dispatch` (under the
+    ``wait_for`` deadline when it is not admin) and holds the connection:
+    no further request is framed until it has been answered.  Reading
+    pauses while the transport is above its write high-water mark, and
+    while a task holds the connection with more than
+    :data:`_MAX_HEAD_BYTES` buffered.
+    """
+
+    def __init__(self, server: PrefetchServer) -> None:
+        self.server = server
+        self.transport: asyncio.Transport | None = None
+        self.buffer = bytearray()
+        #: Leading buffer bytes already searched for a head terminator.
+        self.scanned = 0
+        #: ``(method, target, close, length)`` of a head whose body is
+        #: still arriving, and the timer that answers it 408.
+        self.head: tuple[str, str, bool, int] | None = None
+        self.body_deadline: asyncio.TimerHandle | None = None
+        #: The admin or fault-armed request holding the connection.
+        self.task: asyncio.Task | None = None
+        self.eof = False
+        self.write_paused = False
+
+    # -- transport callbacks -------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # A running task finishes on its own; its answer is dropped.
+        self.server._connections.discard(self)
+        if self.body_deadline is not None:
+            self.body_deadline.cancel()
+
+    def data_received(self, data: bytes) -> None:
+        self.buffer += data
+        if self.task is None:
+            self._frame()
+        else:
+            self._flow()
+
+    def eof_received(self) -> bool:
+        # Half-closed: every request already sent is still answered, and
+        # the connection closes after the last answer (_frame).
+        self.eof = True
+        if self.task is None:
+            self._frame()
+        return True
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self._flow()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        self._flow()
+
+    # -- framing ---------------------------------------------------------------
+
+    def _frame(self) -> None:
+        """Answer every complete request in the buffer, in order."""
+        buffer = self.buffer
+        transport = self.transport
+        start = 0
+        while self.task is None and not transport.is_closing():
+            if self.head is None:
+                end = buffer.find(b"\r\n\r\n", max(start, self.scanned))
+                if end < 0:
+                    if len(buffer) - start - 3 > _MAX_HEAD_BYTES:
+                        self._refuse(400, "request head too large")
+                    else:
+                        self.scanned = max(start, len(buffer) - 3)
+                    break
+                if end - start > _MAX_HEAD_BYTES:
+                    self._refuse(400, "request head too large")
+                    break
+                self.head = self._parse_head(buffer[start:end])
+                start = end + 4
+                if self.head is None:
+                    break
+            method, target, close, length = self.head
+            if len(buffer) - start < length:
+                # A body shorter than its Content-Length would otherwise
+                # hold the connection forever.
+                if self.body_deadline is None:
+                    self.body_deadline = asyncio.get_running_loop().call_later(
+                        self.server.request_timeout_s, self._body_timeout
+                    )
+                break
+            body = bytes(buffer[start : start + length])
+            start += length
+            self.head = None
+            if self.body_deadline is not None:
+                self.body_deadline.cancel()
+                self.body_deadline = None
+            self._answer(method, target, body, close)
+        del buffer[:start]
+        self.scanned = max(0, self.scanned - start)
+        if self.eof and self.task is None and not transport.is_closing():
+            if self.head is None and buffer:
+                self._refuse(400, "malformed request line")
+            else:
+                transport.close()
+        self._flow()
+
+    def _parse_head(self, head: bytearray) -> tuple[str, str, bool, int] | None:
+        """``(method, target, close, length)`` of one request head, or
+        None once a malformed or oversized request has been refused."""
+        lines = head.decode("latin-1").split("\r\n")
+        headers: dict[str, str] = {}
+        for line in lines[1:]:
+            name, _, value = line.partition(":")
+            headers[name.strip().lower()] = value.strip()
+        try:
+            method, target, _ = lines[0].split(" ", 2)
+        except ValueError:
+            self._refuse(400, "malformed request line")
+            return None
+        length = _content_length(headers)
+        if length is None:
+            self._refuse(400, "malformed Content-Length")
+            return None
+        if length > _MAX_BODY_BYTES:
+            self._refuse(413, f"request body over {_MAX_BODY_BYTES} bytes")
+            return None
+        close = headers.get("connection", "").lower() == "close"
+        return method.upper(), target, close, length
+
+    def _body_timeout(self) -> None:
+        self.body_deadline = None
+        self._refuse(
+            408,
+            "request body not received within "
+            f"{self.server.request_timeout_s:.1f}s",
+        )
+
+    def _flow(self) -> None:
+        """Pause reading while the write buffer is over its high-water
+        mark, or while a task holds the connection and more than a head's
+        limit is buffered; resume once neither holds.  Both transport
+        calls are no-ops when already in effect or once closing."""
+        if self.write_paused or (
+            self.task is not None and len(self.buffer) > _MAX_HEAD_BYTES
+        ):
+            self.transport.pause_reading()
+        else:
+            self.transport.resume_reading()
+
+    # -- answering -------------------------------------------------------------
+
+    def _answer(self, method: str, target: str, body: bytes, close: bool) -> None:
+        server = self.server
+        if server._inflight >= server.max_inflight:
+            # Bounded-queue load shedding: refuse fast and honestly rather
+            # than queueing without limit.
+            server.shed_total += 1
+            self._respond(
+                *_error_body(503, "server overloaded; retry later"),
+                close,
+                server.retry_after_s,
+            )
+            return
+        server._inflight += 1
+        admin = _is_admin(target)
+        if params.FAULT_PLAN is None and not admin:
+            # Data plane: these handlers are synchronous, so a wait_for
+            # deadline could never preempt them — answer inline, with no
+            # per-request task or timer.
+            try:
+                answer = server._dispatch_fast(method, target, body)
+            except Exception as exc:
+                answer = _failure(exc)
+            finally:
+                server._inflight -= 1
+            self._respond(*answer, close)
+        else:
+            self.task = asyncio.get_running_loop().create_task(
+                self._await_answer(method, target, body, close, admin)
+            )
+
+    async def _await_answer(
+        self, method: str, target: str, body: bytes, close: bool, admin: bool
+    ) -> None:
+        """The task lane: admin routes, and every fault-armed request."""
+        server = self.server
+        retry_after: float | None = None
+        try:
+            if admin:
+                # The ops plane is exempt from the data-plane deadline:
+                # cancelling a refresh mid-flight would corrupt its
+                # breaker bookkeeping, and rebuild/snapshot stalls already
+                # run under their own supervised deadlines.
+                answer = await server._dispatch(method, target, body)
+            else:
+                # An armed fault plan: injected stalls still trip the
+                # deadline.
+                answer = await asyncio.wait_for(
+                    server._dispatch(method, target, body),
+                    timeout=server.request_timeout_s,
+                )
+        except asyncio.TimeoutError:
+            server.request_timeouts_total += 1
+            retry_after = server.retry_after_s
+            answer = _error_body(
+                503, f"request exceeded {server.request_timeout_s:.1f}s deadline"
+            )
+        except Exception as exc:
+            answer = _failure(exc)
+        finally:
+            server._inflight -= 1
+        self.task = None
+        self._respond(*answer, close, retry_after)
+        self._frame()
+
+    def _refuse(self, status: int, message: str) -> None:
+        """Answer a request that cannot be framed, and close."""
+        self._respond(*_error_body(status, message), True)
+
+    def _respond(
+        self,
+        status: int,
+        content_type: str,
+        payload: bytes,
+        close: bool,
+        retry_after: float | None = None,
+    ) -> None:
+        if status >= 400:
+            self.server.errors_total += 1
+        transport = self.transport
+        if transport.is_closing():
+            return  # the client left, or stop() closed the connection
+        transport.write(_response(status, content_type, payload, close, retry_after))
+        if close:
+            transport.close()
 
 
 class ServerThread:

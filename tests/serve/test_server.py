@@ -2,17 +2,66 @@
 
 import json
 import socket
+import threading
 import time
+from urllib.parse import parse_qsl, urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.serve.server import PrefetchServer, ServerThread
+from repro.resilience import FaultPlan, injected
+from repro.serve.server import PrefetchServer, ServerThread, _split_target
 from repro.serve.snapshot import load_snapshot
 from repro.errors import ServeError
 from repro.trace.dataset import Trace
 
 from tests.helpers import make_record, make_sessions
 from tests.serve.conftest import TRAIN, ServeClient, fitted_model
+
+
+def _request(method: str, target: str, *, close: bool = False) -> bytes:
+    head = f"{method} {target} HTTP/1.1\r\nHost: t\r\n"
+    if close:
+        head += "Connection: close\r\n"
+    return (head + "\r\n").encode("latin-1")
+
+
+def _exchange(handle, chunks, *, half_close: bool = False):
+    """Send ``chunks`` on one raw connection, each in its own segment;
+    read until the server closes; return each response's (head, body)."""
+    with socket.create_connection((handle.host, handle.port), timeout=10) as raw:
+        raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for index, chunk in enumerate(chunks):
+            if index:
+                time.sleep(0.001)
+            raw.sendall(chunk)
+        if half_close:
+            raw.shutdown(socket.SHUT_WR)
+        data = b""
+        while chunk := raw.recv(65536):
+            data += chunk
+    return _split_responses(data)
+
+
+def _split_responses(data: bytes):
+    """Each response's (head, body) in ``data``, which ends at a close."""
+    responses = []
+    while data:
+        head, separator, rest = data.partition(b"\r\n\r\n")
+        assert separator, f"truncated response head {head[:80]!r}"
+        (length,) = [
+            int(line.split(b":", 1)[1])
+            for line in head.split(b"\r\n")
+            if line.lower().startswith(b"content-length:")
+        ]
+        responses.append((head, rest[:length]))
+        data = rest[length:]
+    return responses
+
+
+def _status(head: bytes) -> int:
+    return int(head.split(b" ", 2)[1])
 
 
 class TestReportAndPredict:
@@ -224,6 +273,228 @@ class TestValidation:
             handle.stop()
 
 
+class TestConnectionEdges:
+    """Framing cases of one keep-alive connection, over a raw socket."""
+
+    def test_pipelined_pair_answered_in_order(self, server):
+        ((first, health), (second, metrics)) = _exchange(
+            server,
+            [_request("GET", "/healthz") + _request("GET", "/metrics", close=True)],
+        )
+        assert (_status(first), _status(second)) == (200, 200)
+        assert json.loads(health)["status"] == "ok"
+        assert metrics.startswith(b"# HELP ")
+        assert b"Connection: keep-alive" in first
+        assert b"Connection: close" in second
+
+    def test_thousand_pipelined_reports_answered_in_order(self, server):
+        requests = b"".join(
+            _request(
+                "POST",
+                f"/report?client=c{i}&url=A&ts={i}&predict=1",
+                close=i == 999,
+            )
+            for i in range(1000)
+        )
+        responses = _exchange(server, [requests])
+        assert {_status(head) for head, _ in responses} == {200}
+        assert [json.loads(body)["client"] for _, body in responses] == [
+            f"c{i}" for i in range(1000)
+        ]
+
+    def test_head_over_64_kib_is_400_and_close(self, server):
+        # 65,540 bytes with no terminator: the first length at which the
+        # head is known to exceed 64 KiB, so every byte sent is read
+        # before the server answers and closes.
+        before = server.server.errors_total
+        ((head, body),) = _exchange(server, [b"GET /" + b"a" * 65535])
+        assert _status(head) == 400
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"error": "request head too large"}
+        assert server.server.errors_total == before + 1
+
+    def test_eof_inside_a_head_is_400(self, server):
+        ((head, body),) = _exchange(
+            server, [b"GET /healthz HTTP/1.1\r\nHost: t"], half_close=True
+        )
+        assert _status(head) == 400
+        assert json.loads(body) == {"error": "malformed request line"}
+
+    def test_request_one_byte_at_a_time(self, server):
+        request = _request("GET", "/healthz", close=True)
+        ((head, body),) = _exchange(
+            server, [request[i : i + 1] for i in range(len(request))]
+        )
+        assert _status(head) == 200
+        assert json.loads(body)["status"] == "ok"
+
+    def test_garbage_request_line_is_400(self, server):
+        ((head, body),) = _exchange(server, [b"GARBAGE\r\n\r\n"])
+        assert _status(head) == 400
+        assert json.loads(body) == {"error": "malformed request line"}
+
+    def test_half_closed_client_gets_its_response(self, server):
+        ((head, body),) = _exchange(
+            server, [_request("GET", "/healthz")], half_close=True
+        )
+        assert _status(head) == 200
+        assert json.loads(body)["status"] == "ok"
+
+    @staticmethod
+    def _paused_reading(handle, raw, data: bytes):
+        """Send ``data`` from a thread, wait until the server stops
+        reading the connection, then read until the server closes.
+        Returns whether reading paused, and each response."""
+        sender = threading.Thread(target=raw.sendall, args=(data,))
+        sender.start()
+        deadline = time.monotonic() + 10
+        paused = False
+        while not paused and time.monotonic() < deadline:
+            time.sleep(0.005)
+            # list() copies the server thread's set in one step.
+            connections = list(handle.server._connections)
+            paused = any(
+                not c.transport.is_reading() and not c.transport.is_closing()
+                for c in connections
+            )
+        received = b""
+        while chunk := raw.recv(65536):
+            received += chunk
+        sender.join(10)
+        assert not sender.is_alive()
+        return paused, _split_responses(received)
+
+    def test_unread_answers_pause_reading(self, server):
+        """A client that stops reading its answers stops being read once
+        the transport is over its write high-water mark; reading resumes
+        when the client drains, and every request is answered."""
+        count = 3000
+        with socket.socket() as raw:
+            # A small receive window, so the server's write buffer fills.
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            raw.settimeout(10)
+            raw.connect((server.host, server.port))
+            paused, responses = self._paused_reading(
+                server,
+                raw,
+                _request("GET", "/metrics") * (count - 1)
+                + _request("GET", "/metrics", close=True),
+            )
+        assert paused
+        assert len(responses) == count
+        assert {_status(head) for head, _ in responses} == {200}
+
+    def test_task_lane_holds_its_connection(self, server):
+        """While a task-lane request runs, the connection frames nothing
+        further and stops reading past 64 KiB buffered; afterwards every
+        pipelined request is answered, in order."""
+        count = 1500  # 80 kB of pipelined requests
+        # An armed plan sends every request down the task lane; the
+        # first one stalls there for a second.
+        plan = FaultPlan(seed=7).arm("serve.slow_request", times=1, delay_s=1.0)
+        requests = b"".join(
+            _request(
+                "POST",
+                f"/report?client=c{i}&url=A&ts={i}&predict=1",
+                close=i == count - 1,
+            )
+            for i in range(count)
+        )
+        with injected(plan), socket.create_connection(
+            (server.host, server.port), timeout=10
+        ) as raw:
+            paused, responses = self._paused_reading(server, raw, requests)
+        assert paused
+        assert {_status(head) for head, _ in responses} == {200}
+        assert [json.loads(body)["client"] for _, body in responses] == [
+            f"c{i}" for i in range(count)
+        ]
+
+    def test_absolute_form_target(self, server):
+        """RFC 9112 section 3.2.2: a server accepts the absolute form."""
+        origin = f"http://{server.host}:{server.port}"
+        ((head, body),) = _exchange(
+            server, [_request("GET", f"{origin}/healthz", close=True)]
+        )
+        assert _status(head) == 200
+        assert json.loads(body)["status"] == "ok"
+        # The admin lane is chosen from the parsed path as well.
+        ((head, body),) = _exchange(
+            server, [_request("POST", f"{origin}/admin/snapshot", close=True)]
+        )
+        assert _status(head) == 400
+        assert json.loads(body) == {
+            "error": "server started without a snapshot path"
+        }
+        # An authority urlsplit cannot parse is the client's error.
+        ((head, body),) = _exchange(
+            server, [_request("GET", "http://[/healthz", close=True)]
+        )
+        assert _status(head) == 400
+        assert "malformed request target" in json.loads(body)["error"]
+
+
+_QUERY_TEXT = st.text(alphabet="ab%2Fz+#=&? /:\t", max_size=12)
+_ESCAPES = st.sampled_from(["%2F", "%41", "%zz", "%", "%4", "%C3%A9", "%ff"])
+
+
+@st.composite
+def _request_targets(draw) -> str:
+    prefix = draw(
+        st.sampled_from(
+            [
+                "",
+                "/",
+                "//",
+                "http://h",
+                "http://h:8080",
+                "HTTP://h",
+                "http://[::1]:8080",
+                "http://[",
+                "//h]",
+            ]
+        )
+    )
+    path = draw(st.sampled_from(["", "report", "a/b", "admin/refresh", "/x"]))
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["client", "url", "", "a%62", "ts"]),
+                st.sampled_from(["", "=", "=x"]),
+                st.lists(st.one_of(_QUERY_TEXT, _ESCAPES), max_size=3).map(
+                    "".join
+                ),
+            ),
+            max_size=5,
+        )
+    )
+    query = "&".join(key + eq + value for key, eq, value in pairs)
+    target = prefix + path
+    if draw(st.booleans()):
+        target += "?" + query
+    if draw(st.booleans()):
+        target += "#" + draw(_QUERY_TEXT)
+    return target
+
+
+class TestSplitTarget:
+    @settings(max_examples=400, deadline=None)
+    @given(target=_request_targets())
+    def test_matches_urlsplit_and_parse_qsl(self, target):
+        """Every target the request line can carry parses as the stdlib
+        parsers do, on a first (memo-filling) and a second call; one
+        ``urlsplit`` rejects raises ServeError (answered 400)."""
+        try:
+            split = urlsplit(target)
+        except ValueError:
+            with pytest.raises(ServeError, match="malformed request target"):
+                _split_target(target)
+            return
+        expected = (split.path, dict(parse_qsl(split.query)))
+        assert _split_target(target) == expected
+        assert _split_target(target) == expected
+
+
 class TestIntrospection:
     def test_healthz(self, client):
         status, payload = client.json("GET", "/healthz")
@@ -312,6 +583,21 @@ class TestLifecycle:
         finally:
             client.close()
             second.stop()
+
+    def test_stop_closes_open_connections(self):
+        """stop() closes a keep-alive connection the client still holds
+        instead of waiting for it (Server.wait_closed() waits for open
+        connections on Python 3.12.1+)."""
+        handle = ServerThread(PrefetchServer(fitted_model())).start()
+        client = ServeClient(handle.host, handle.port)
+        try:
+            assert client.json("GET", "/healthz")[0] == 200
+            started = time.monotonic()
+            handle.stop()
+            assert time.monotonic() - started < 10
+            assert client.connection.sock.recv(1) == b""
+        finally:
+            client.close()
 
     def test_shutdown_folds_open_sessions(self):
         server = PrefetchServer(fitted_model())

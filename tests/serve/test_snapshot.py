@@ -100,7 +100,8 @@ class TestWriteLoadRoundTrip:
     def test_wrong_format_version_raises_model_error(self, tmp_path):
         path = str(tmp_path / "model.json")
         write_snapshot(fitted_model(), path)
-        payload = json.loads(open(path, encoding="utf-8").read())
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
         payload["format"] = 999
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
@@ -165,6 +166,7 @@ class TestSnapshotWalBoundary:
         model, boundary = restore_snapshot_state(manager.path)
         assert model is not None
         assert boundary == manager.last_boundary
+        journal.close()
 
     def test_snapshot_without_wal_has_no_boundary(self, tmp_path):
         path = str(tmp_path / "model.json")
@@ -184,6 +186,7 @@ class TestSnapshotWalBoundary:
         remaining = [seq for seq, _ in list_segments(journal.directory)]
         assert remaining == [manager.last_boundary]
         assert journal.compacted_segments_total == 2
+        journal.close()
 
     def test_failed_snapshot_never_compacts(self, tmp_path):
         manager, journal, _tracker, _updater = self.make_journalled_manager(
@@ -208,6 +211,7 @@ class TestSnapshotWalBoundary:
         assert asyncio.run(manager.snapshot_once()) is not None
         remaining = [seq for seq, _ in list_segments(journal.directory)]
         assert remaining == [manager.last_boundary]
+        journal.close()
 
     def test_carry_append_failure_aborts_snapshot(self, tmp_path):
         manager, journal, _tracker, _updater = self.make_journalled_manager(
@@ -222,8 +226,10 @@ class TestSnapshotWalBoundary:
         assert manager.consecutive_failures == 1
         assert "WalError" in manager.last_error
         # No snapshot was written and nothing was compacted.
-        assert open(manager.path).read() == ""
+        with open(manager.path) as handle:
+            assert handle.read() == ""
         assert journal.compacted_segments_total == 0
+        journal.close()
 
     def test_carry_captures_open_and_pending_state(self, tmp_path):
         manager, journal, tracker, updater = self.make_journalled_manager(
@@ -239,3 +245,4 @@ class TestSnapshotWalBoundary:
         (carry,) = recovery.records
         assert carry["open"] == [["c1", [["A", 100.0], ["B", 110.0]]]]
         assert carry["pending"] == [["c1", [["Q", 0.0], ["R", 10.0]]]]
+        journal.close()

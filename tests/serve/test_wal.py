@@ -65,6 +65,7 @@ class TestAppendAndScan:
         journal = make_journal(tmp_path)
         journal.append_sessions([])
         assert journal.appended_records_total == 0
+        journal.close()
 
     def test_append_on_closed_journal_raises(self, tmp_path):
         journal = make_journal(tmp_path)
@@ -94,6 +95,7 @@ class TestAppendAndScan:
         assert stats["appended_bytes_total"] > 0
         assert stats["active_segment"] == 1
         assert stats["fsync_policy"] == "off"
+        journal.close()
 
 
 class TestRotation:
@@ -128,6 +130,7 @@ class TestRotation:
         journal.tick()
         assert journal.rotations_total == 1
         assert journal.active_seq == 2
+        journal.close()
 
     def test_empty_segment_is_never_age_rotated(self, tmp_path):
         clock = FakeClock()
@@ -135,6 +138,7 @@ class TestRotation:
         clock.advance(3600.0)
         journal.tick()
         assert journal.rotations_total == 0
+        journal.close()
 
 
 class TestFsyncPolicies:
@@ -143,6 +147,7 @@ class TestFsyncPolicies:
         journal.append_report("c1", "/a", 1.0)
         journal.append_report("c1", "/b", 2.0)
         assert journal.fsync_total == 2
+        journal.close()
 
     def test_off_never_syncs(self, tmp_path):
         journal = make_journal(tmp_path, fsync="off")
@@ -163,6 +168,7 @@ class TestFsyncPolicies:
         assert journal.fsync_total == 1
         journal.append_report("c1", "/c", 3.0)
         assert journal.fsync_total == 1  # interval restarted
+        journal.close()
 
     def test_tick_syncs_dirty_interval_journal(self, tmp_path):
         clock = FakeClock()
@@ -173,6 +179,7 @@ class TestFsyncPolicies:
         clock.advance(6.0)
         journal.tick()
         assert journal.fsync_total == 1
+        journal.close()
 
 
 class TestCompaction:
